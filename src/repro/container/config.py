@@ -31,7 +31,10 @@ class ContainerConfig:
     port: int = CONTAINER_PORT
 
     # PEPt plug-in selection.
-    codec: str = "binary"
+    #: Payload codec. "compiled" (generated per-type plans) is the default;
+    #: it is byte-identical to "binary", the interpreted reference codec it
+    #: is tested against. "json" is the readable alternative.
+    codec: str = "compiled"
     scheduler_policy: str = "fixed_priority"
     #: "udp_ack" (the paper's app-layer mechanism) or "tcp" (the baseline).
     event_mapping: str = "udp_ack"

@@ -52,6 +52,9 @@ from repro.util.errors import (
 )
 from repro.util.rng import SeededRng
 
+#: The RETRANSMIT flag bit, as a plain int for the per-frame test.
+_RETRANSMIT = int(FrameFlags.RETRANSMIT)
+
 #: Frame kinds the container treats as control plane (processed inline,
 #: before the scheduler).
 _CONTROL_KINDS = {
@@ -92,6 +95,8 @@ class ServiceContainer:
         rng: Optional[SeededRng] = None,
     ):
         self._config = config
+        #: The container id (plain attribute: read on every frame).
+        self.id = config.container_id
         self._clock = clock
         self._timers = timers
         self._transport = transport
@@ -125,9 +130,15 @@ class ServiceContainer:
             metrics=self.metrics,
             strict=config.payload_sanitizer_strict,
         )
-        self._tx_counters: Dict[MessageKind, object] = {}
-        self._rx_counters: Dict[MessageKind, object] = {}
-        self._retransmit_counter = self.metrics.counter("retransmits")
+        # Per-frame accounting is plain ints, written into the registry's
+        # frames_sent / frames_received / retransmits counters on read.
+        self._tx_counts: Dict[MessageKind, int] = {}
+        self._rx_counts: Dict[MessageKind, int] = {}
+        self._retransmits = 0
+        self.metrics.add_collector(
+            ("retransmits", "frames_sent", "frames_received"),
+            self._collect_frame_counts,
+        )
 
         self.directory = Directory(
             clock=clock,
@@ -231,10 +242,6 @@ class ServiceContainer:
 
     # -- identity and plumbing accessors (PrimitiveHost protocol) -------------
     @property
-    def id(self) -> str:
-        return self._config.container_id
-
-    @property
     def clock(self) -> Clock:
         return self._clock
 
@@ -271,32 +278,21 @@ class ServiceContainer:
 
     # -- frame plumbing ----------------------------------------------------------
     def _note_tx(self, frame: Frame) -> None:
-        counter = self._tx_counters.get(frame.kind)
-        if counter is None:
-            counter = self._tx_counters[frame.kind] = self.metrics.counter(
-                "frames_sent", kind=frame.kind.name
-            )
-        counter.inc()
-        if frame.flags & int(FrameFlags.RETRANSMIT):
-            self._retransmit_counter.inc()
-        self.recorder.record(
-            "tx", kind=frame.kind.name, seq=frame.seq, bytes=len(frame.payload)
-        )
+        """The accounting point of every frame sent (its receive-side twin
+        is inline in :meth:`_on_frame`)."""
+        kind = frame.kind
+        counts = self._tx_counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if frame.flags & _RETRANSMIT:
+            self._retransmits += 1
+        self.recorder.frame("tx", kind, None, frame.seq, len(frame.payload))
 
-    def _note_rx(self, frame: Frame) -> None:
-        counter = self._rx_counters.get(frame.kind)
-        if counter is None:
-            counter = self._rx_counters[frame.kind] = self.metrics.counter(
-                "frames_received", kind=frame.kind.name
-            )
-        counter.inc()
-        self.recorder.record(
-            "rx",
-            kind=frame.kind.name,
-            source=frame.source,
-            seq=frame.seq,
-            bytes=len(frame.payload),
-        )
+    def _collect_frame_counts(self, registry: MetricsRegistry) -> None:
+        registry.counter("retransmits").value = self._retransmits
+        for kind, count in self._tx_counts.items():
+            registry.counter("frames_sent", kind=kind.name).value = count
+        for kind, count in self._rx_counts.items():
+            registry.counter("frames_received", kind=kind.name).value = count
 
     def send_unicast(self, peer: str, frame: Frame) -> bool:
         if peer == self.id:
@@ -594,21 +590,29 @@ class ServiceContainer:
         return DEFAULT_BANDS.get(kind, 4)
 
     def _on_frame(self, frame: Frame, source_address: Address) -> None:
-        if frame.source == self.id:
+        source = frame.source
+        if source == self.id:
             return  # our own multicast loopback
+        # The admission policy is read once per frame (never cached: it can
+        # be swapped at runtime); disabled admission costs this one read.
+        policy = self.admission.policy
         # Admission is the first gate: a dropped frame generates no ACK, no
         # dispatch, no scheduler work — nothing an attacker could amplify.
-        if not self.admission.admit(frame, source_address):
+        if policy.enabled and not self.admission.admit(frame, source_address):
             return
-        self._note_rx(frame)
-        if frame.kind in _CONTROL_KINDS:
+        # The accounting point of every frame received.
+        kind = frame.kind
+        counts = self._rx_counts
+        counts[kind] = counts.get(kind, 0) + 1
+        self.recorder.frame("rx", kind, source, frame.seq, len(frame.payload))
+        if kind in _CONTROL_KINDS:
             try:
                 self._handle_control(frame)
             except (ProtocolError, EncodingError) as exc:
                 self._note_malformed(frame, exc)
             return
-        if self.admission.policy.ingress_scheduling:
-            self._ingress_scheduler().offer(frame, self._band_of(frame.kind))
+        if policy.ingress_scheduling:
+            self._ingress_scheduler().offer(frame, self._band_of(kind))
             return
         self._ingest_data(frame)
 

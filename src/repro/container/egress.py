@@ -214,7 +214,15 @@ class EgressShaper:
     _EPSILON = 1e-9
 
     def send(self, destination: Destination, frame: Frame) -> None:
-        """Entry point: classify into a band, batch if enabled, then shape."""
+        """Entry point: classify into a band, batch if enabled, then shape.
+
+        With batching and shaping both off (the default) the frame goes
+        straight to the transport: no band lookup, no queue check.
+        """
+        if self._batcher is None and self._rate_bps is None:
+            self.passthrough_frames += 1
+            self._send(destination, frame)
+            return
         band = self._bands.get(frame.kind, _NUM_BANDS - 1)
         if self._batcher is not None:
             self._batcher.add(destination, frame, band)

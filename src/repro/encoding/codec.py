@@ -41,7 +41,8 @@ def register_codec(codec: Codec) -> None:
 def get_codec(name: str) -> Codec:
     """Look up a registered codec.
 
-    The built-in ``"binary"`` and ``"json"`` codecs self-register on import
+    The built-in ``"binary"``, ``"compiled"`` and ``"json"`` codecs
+    self-register on import
     of :mod:`repro.encoding`.
     """
     try:

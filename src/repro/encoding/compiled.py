@@ -958,7 +958,12 @@ class CompiledCodec:
     name = "compiled"
 
     def encode(self, datatype: DataType, value: Any) -> bytes:
-        encoder = _plan(datatype)[1]
+        # The identity-cache hit is inlined here and in _decode (they run
+        # once per payload); _plan handles misses.
+        entry = _BY_ID.get(id(datatype))
+        if entry is None or entry[0] is not datatype:
+            entry = _plan(datatype)
+        encoder = entry[1]
         try:
             return encoder(value)
         except EncodingError:
@@ -989,9 +994,11 @@ class CompiledCodec:
         # The decoder slices whatever buffer it is given: ``bytes`` input is
         # sliced as bytes (cheapest), a ``memoryview`` of a larger buffer is
         # sliced without copying. Nothing goes through BytesIO.
-        decoder = _plan(datatype)[2]
+        entry = _BY_ID.get(id(datatype))
+        if entry is None or entry[0] is not datatype:
+            entry = _plan(datatype)
         try:
-            value, consumed = decoder(data, 0)
+            value, consumed = entry[2](data, 0)
         except EncodingError:
             raise
         except (struct.error, IndexError) as exc:

@@ -11,17 +11,20 @@ present a single fleet-wide view.
 
 Instruments are identity objects: ``registry.counter("x")`` always returns
 the same :class:`Counter`, so hot paths may cache the handle and skip the
-lookup.
+lookup. The hottest paths (per-frame counts) skip even that: they keep plain
+ints and register a collector (:meth:`MetricsRegistry.add_collector`) that
+writes them into their instruments before every read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.stats import summarize
 
 LabelSet = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, str, LabelSet]  # (instrument kind, name, labels)
+Collector = Callable[["MetricsRegistry"], None]
 
 
 class Counter:
@@ -69,6 +72,22 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, object] = {}
+        self._collectors: List[Tuple[FrozenSet[str], Collector]] = []
+
+    def add_collector(self, names: Iterable[str], collect: Collector) -> None:
+        """Run ``collect(registry)`` before every read that can see the
+        metrics ``names``: a value lookup of one of them, :meth:`items`,
+        :meth:`snapshot` or :meth:`absorb` of this registry. A collector
+        sets those instruments from counts kept elsewhere, as
+        :meth:`~repro.simnet.stats.NetworkStats.export` does, so it must be
+        idempotent."""
+        self._collectors.append((frozenset(names), collect))
+
+    def _collect(self, name: Optional[str] = None) -> None:
+        """Run the collectors of metric ``name`` (all of them when None)."""
+        for names, collect in self._collectors:
+            if name is None or name in names:
+                collect(self)
 
     # -- instrument accessors -----------------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -89,18 +108,22 @@ class MetricsRegistry:
 
     # -- reads that never create --------------------------------------------
     def counter_value(self, name: str, **labels: str) -> int:
+        self._collect(name)
         metric = self._metrics.get(("counter", name, tuple(sorted(labels.items()))))
         return metric.value if metric is not None else 0
 
     def gauge_value(self, name: str, **labels: str) -> float:
+        self._collect(name)
         metric = self._metrics.get(("gauge", name, tuple(sorted(labels.items()))))
         return metric.value if metric is not None else 0.0
 
     def histogram_values(self, name: str, **labels: str) -> List[float]:
+        self._collect(name)
         metric = self._metrics.get(("histogram", name, tuple(sorted(labels.items()))))
         return list(metric.values) if metric is not None else []
 
     def items(self) -> Iterator[Tuple[MetricKey, object]]:
+        self._collect()
         return iter(sorted(self._metrics.items()))
 
     # -- merging ------------------------------------------------------------
@@ -143,6 +166,7 @@ class MetricsRegistry:
         self._metrics.clear()
 
     def __repr__(self) -> str:
+        self._collect()
         kinds: Dict[str, int] = {}
         for kind, _, _ in self._metrics:
             kinds[kind] = kinds.get(kind, 0) + 1

@@ -198,7 +198,9 @@ class AdmissionController:
     ):
         self._clock = clock
         self._classify = classify
-        self._policy = policy or AdmissionPolicy()
+        #: The active policy: a plain attribute, read by the container once
+        #: per inbound frame; swap it with :meth:`configure`.
+        self.policy = policy or AdmissionPolicy()
         self._metrics = metrics
         self._recorder = recorder
         self._sources: Dict[str, _SourceState] = {}
@@ -208,18 +210,14 @@ class AdmissionController:
     # -- configuration ---------------------------------------------------------
     @property
     def enabled(self) -> bool:
-        return self._policy.enabled
-
-    @property
-    def policy(self) -> AdmissionPolicy:
-        return self._policy
+        return self.policy.enabled
 
     def configure(self, policy: AdmissionPolicy) -> None:
         """Swap the policy at runtime (``SimRuntime.enable_admission``).
 
         Source state is kept: an already-quarantined offender does not get
         a clean slate just because the knobs moved."""
-        self._policy = policy
+        self.policy = policy
 
     # -- the admission decision ------------------------------------------------
     def admit(self, frame: Frame, address=None) -> bool:
@@ -228,7 +226,7 @@ class AdmissionController:
         Drops are counted under ``admission_drops{source,band,reason}``;
         the caller simply discards the frame on False.
         """
-        if not self._policy.enabled:
+        if not self.policy.enabled:
             return True
         now = self._clock.now()
         band = self._classify(frame.kind)
@@ -246,7 +244,7 @@ class AdmissionController:
                 return False
         if state is None:
             state = self._sources[source] = _SourceState()
-        policy = self._policy
+        policy = self.policy
         if policy.source_rate is not None:
             if state.bucket is None:
                 state.bucket = TokenBucket(policy.source_rate, policy.source_burst, now)
@@ -278,7 +276,7 @@ class AdmissionController:
         """
         if self._metrics is not None:
             self._metrics.counter("malformed_frames", source=source_key).inc()
-        if not self._policy.enabled:
+        if not self.policy.enabled:
             return
         now = self._clock.now()
         state = self._sources.get(source_key)
@@ -288,7 +286,7 @@ class AdmissionController:
             # Already serving a quarantine; don't stack new windows for
             # traffic the quarantine is there to absorb.
             return
-        policy = self._policy
+        policy = self.policy
         elapsed = now - state.score_stamp
         if elapsed > 0:
             state.score = max(0.0, state.score - elapsed * policy.quarantine_decay)

@@ -12,9 +12,11 @@ live ones — long chaos campaigns cancel retransmit timers by the thousands
 and must not grow the queue unboundedly.
 
 Fleet-scale missions push O(100k+) in-flight events through this loop, so
-the event record is a plain ``__slots__`` class (no dataclass descriptor
-machinery on the heap's comparison path) and :meth:`Simulator.run` binds its
-hot names once per call instead of once per event.
+a heap entry is a plain three-slot list ``[time, seq, callback]``: the heap
+orders entries by list comparison, which runs in C (``seq`` is unique, so the
+callback is never compared). Cancelling, or running, an entry clears its
+callback slot in place. :meth:`Simulator.run` binds its hot names once per
+call instead of once per event.
 """
 
 from __future__ import annotations
@@ -26,51 +28,34 @@ from typing import Callable, List, Optional
 _COMPACT_MIN_QUEUE = 64
 
 
-class _ScheduledEvent:
-    """One heap entry. Ordered by (time, seq): seq is the insertion order,
-    so same-instant events execute deterministically FIFO."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "done")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        #: Set once the event has executed or been dropped from the heap, so
-        #: a late cancel() cannot decrement the live-event accounting twice.
-        self.done = False
-
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-
 class TimerHandle:
     """Handle returned by :meth:`Simulator.schedule`; supports cancellation."""
 
-    __slots__ = ("_event", "_sim")
+    __slots__ = ("_entry", "_sim", "_cancelled")
 
-    def __init__(self, event: _ScheduledEvent, sim: "Simulator"):
-        self._event = event
+    def __init__(self, entry: list, sim: "Simulator"):
+        self._entry = entry
         self._sim = sim
+        self._cancelled = False
 
     def cancel(self) -> None:
-        event = self._event
-        if event.cancelled:
+        if self._cancelled:
             return
-        event.cancelled = True
-        if not event.done:
+        self._cancelled = True
+        entry = self._entry
+        # A cleared slot means the entry already ran: nothing is left in the
+        # heap to account for.
+        if entry[2] is not None:
+            entry[2] = None
             self._sim._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._cancelled
 
     @property
     def when(self) -> float:
-        return self._event.time
+        return self._entry[0]
 
 
 class Simulator:
@@ -82,7 +67,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[list] = []
         self._seq = 0
         self._running = False
         self._events_executed = 0
@@ -106,10 +91,10 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = _ScheduledEvent(when, self._seq, callback)
+        entry = [when, self._seq, callback]
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return TimerHandle(event, self)
+        heapq.heappush(self._queue, entry)
+        return TimerHandle(entry, self)
 
     def schedule_fire(self, when: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule_at`: no :class:`TimerHandle` is
@@ -120,9 +105,8 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = _ScheduledEvent(when, self._seq, callback)
+        heapq.heappush(self._queue, [when, self._seq, callback])
         self._seq += 1
-        heapq.heappush(self._queue, event)
 
     def call_soon(self, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` at the current time, after already-queued events
@@ -141,10 +125,7 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place (run() may be
         iterating over the same list object)."""
-        for event in self._queue:
-            if event.cancelled:
-                event.done = True
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [e for e in self._queue if e[2] is not None]
         heapq.heapify(self._queue)
         self._cancelled = 0
 
@@ -160,15 +141,15 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event. Returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                event.done = True
+            entry = heapq.heappop(self._queue)
+            callback = entry[2]
+            if callback is None:
                 self._cancelled -= 1
                 continue
-            event.done = True
-            self._now = event.time
+            entry[2] = None
+            self._now = entry[0]
             self._events_executed += 1
-            event.callback()
+            callback()
             return True
         return False
 
@@ -187,22 +168,24 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while queue:
-                event = queue[0]
-                if event.cancelled:
+                entry = queue[0]
+                callback = entry[2]
+                if callback is None:
                     heappop(queue)
-                    event.done = True
                     self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and entry[0] > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(queue)
-                event.done = True
-                self._now = event.time
+                # Cleared before it runs, so a cancel() from inside the
+                # callback (or later) finds nothing left to account for.
+                entry[2] = None
+                self._now = entry[0]
                 self._events_executed += 1
                 executed += 1
-                event.callback()
+                callback()
         finally:
             self._running = False
         if until is not None and self._now < until:

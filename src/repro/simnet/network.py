@@ -22,12 +22,13 @@ costs one zone's membership, not the fleet's. Unicast is never filtered.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulator
 from repro.simnet.addressing import Address, GroupName
 from repro.simnet.models import LinkModel
-from repro.simnet.packet import Packet
+from repro.simnet.packet import WIRE_OVERHEAD_BYTES, Packet
 from repro.simnet.stats import NetworkStats
 from repro.util.errors import TransportError
 from repro.util.rng import SeededRng
@@ -224,8 +225,11 @@ class SimNetwork:
         return cached
 
     def _emit(self, nic: SimNic, packet: Packet) -> None:
+        # The wire size (Packet.size) is computed once per emission.
+        length = len(packet.payload)
+        size = length + WIRE_OVERHEAD_BYTES
         if not nic.up:
-            self.stats.drops_down.add(packet.size)
+            self.stats.drops_down.add(size)
             return
         src = nic.node
         if packet.source.node != src:
@@ -235,12 +239,12 @@ class SimNetwork:
         # MTU is enforced against the *source's* default view of the medium;
         # the Protocol layer fragments before this point.
         mtu = self._default_link.mtu
-        if len(packet.payload) > mtu:
+        if length > mtu:
             raise TransportError(
-                f"payload of {len(packet.payload)} bytes exceeds MTU {mtu}; "
+                f"payload of {length} bytes exceeds MTU {mtu}; "
                 "fragment at the protocol layer"
             )
-        packet.sent_at = self._sim.now()
+        now = packet.sent_at = self._sim.now()
 
         # Multicast shares the default medium; unicast serializes at the
         # specific link's rate (a radio hop to the ground is slower than
@@ -267,14 +271,14 @@ class SimNetwork:
                 if src in members:
                     receivers.append(src)
             if not receivers:
-                self.stats.record_emission(src, packet.size)
-                self.stats.drops_nomember.add(packet.size)
+                self.stats.record_emission(src, size)
+                self.stats.drops_nomember.add(size)
                 return
             if self.supports_multicast:
                 # Serialization charged once per emission — the bandwidth
                 # win measured by experiment E3.
-                self.stats.record_emission(src, packet.size)
-                tx_done = self._occupy_uplink(src, model, packet.size)
+                self.stats.record_emission(src, size)
+                tx_done = self._occupy_uplink(src, model, size, now)
                 if self._optimized:
                     self._schedule_deliveries(src, receivers, packet, tx_done)
                 else:
@@ -284,12 +288,12 @@ class SimNetwork:
                 # No multicast in the underlying network: one emission (and
                 # one serialization slot) per receiver.
                 for dst in receivers:
-                    self.stats.record_emission(src, packet.size)
-                    tx_done = self._occupy_uplink(src, model, packet.size)
+                    self.stats.record_emission(src, size)
+                    tx_done = self._occupy_uplink(src, model, size, now)
                     self._schedule_delivery(src, dst, packet, tx_done)
         else:
-            self.stats.record_emission(src, packet.size)
-            tx_done = self._occupy_uplink(src, model, packet.size)
+            self.stats.record_emission(src, size)
+            tx_done = self._occupy_uplink(src, model, size, now)
             if self._optimized:
                 self._schedule_deliveries(
                     src, (destination.node,), packet, tx_done
@@ -297,9 +301,11 @@ class SimNetwork:
             else:
                 self._schedule_delivery(src, destination.node, packet, tx_done)
 
-    def _occupy_uplink(self, src: str, model: LinkModel, size: int) -> float:
+    def _occupy_uplink(
+        self, src: str, model: LinkModel, size: int, now: float
+    ) -> float:
         """Reserve the sender's FIFO uplink; returns serialization-done time."""
-        free_at = max(self._uplink_free_at.get(src, 0.0), self._sim.now())
+        free_at = max(self._uplink_free_at.get(src, 0.0), now)
         tx_done = free_at + model.serialization_delay(size)
         self._uplink_free_at[src] = tx_done
         return tx_done
@@ -314,6 +320,7 @@ class SimNetwork:
         Relative delivery order is unchanged: same-arrival deliveries kept
         their receiver order before (heap ties break by insertion seq)."""
         nics = self._nics
+        pairs = self._pair_cache
         by_arrival: Dict[float, List[str]] = {}
         for dst in receivers:
             if dst not in nics:
@@ -324,7 +331,7 @@ class SimNetwork:
                 # Local loopback: no propagation delay or loss.
                 arrival = tx_done
             else:
-                model, rng = self._pair(src, dst)
+                model, rng = pairs.get((src, dst)) or self._pair(src, dst)
                 if model.drops(rng):
                     self.stats.drops_loss.add(packet.size)
                     continue
@@ -336,36 +343,41 @@ class SimNetwork:
                 group.append(dst)
         for arrival, group in by_arrival.items():
             self._sim.schedule_fire(
-                arrival, self._make_delivery(group, packet)
+                arrival, partial(self._deliver_group, group, packet, arrival)
             )
 
-    def _make_delivery(self, group: List[str], packet: Packet):
-        def deliver() -> None:
-            delivered: Optional[Packet] = None
-            nics = self._nics
-            stats = self.stats
-            for dst in group:
-                nic = nics.get(dst)
-                if nic is None or not nic.up:
-                    stats.drops_down.add(packet.size)
-                    continue
-                if delivered is None:
-                    # One Packet object serves the whole same-instant group:
-                    # every field is identical and payload bytes are
-                    # immutable, so receivers cannot tell copies apart.
-                    delivered = Packet(
-                        source=packet.source,
-                        destination=packet.destination,
-                        payload=packet.payload,
-                        sent_at=packet.sent_at,
-                        delivered_at=self._sim.now(),
-                    )
-                stats.record_delivery(dst, delivered.size)
-                if self._trace is not None:
-                    self._trace.append(delivered)
-                nic._deliver(delivered)
-
-        return deliver
+    def _deliver_group(
+        self, group: List[str], packet: Packet, arrival: float
+    ) -> None:
+        """The kernel event of one arrival instant (``arrival`` is the
+        current time when it runs)."""
+        delivered: Optional[Packet] = None
+        nics = self._nics
+        stats = self.stats
+        size = len(packet.payload) + WIRE_OVERHEAD_BYTES
+        for dst in group:
+            nic = nics.get(dst)
+            if nic is None or not nic.up:
+                stats.drops_down.add(size)
+                continue
+            if delivered is None:
+                # One Packet object serves the whole same-instant group:
+                # every field is identical and payload bytes are
+                # immutable, so receivers cannot tell copies apart.
+                delivered = Packet(
+                    source=packet.source,
+                    destination=packet.destination,
+                    payload=packet.payload,
+                    sent_at=packet.sent_at,
+                    delivered_at=arrival,
+                )
+            stats.record_delivery(dst, size)
+            if self._trace is not None:
+                self._trace.append(delivered)
+            # Straight to the bound transport (what SimNic._deliver does).
+            receiver = nic._receiver
+            if receiver is not None:
+                receiver(delivered)
 
     # -- delivery, reference path ---------------------------------------------
     def _schedule_delivery(self, src: str, dst: str, packet: Packet, tx_done: float) -> None:

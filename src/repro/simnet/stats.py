@@ -61,13 +61,23 @@ class NetworkStats:
         default_factory=lambda: defaultdict(Counter)
     )
 
+    # The two per-datagram recorders update their counters inline: they run
+    # once per emission and once per delivery.
     def record_emission(self, node: str, size: int) -> None:
-        self.emissions.add(size)
-        self.emissions_by_node[node].add(size)
+        total = self.emissions
+        total.packets += 1
+        total.bytes += size
+        per_node = self.emissions_by_node[node]
+        per_node.packets += 1
+        per_node.bytes += size
 
     def record_delivery(self, node: str, size: int) -> None:
-        self.deliveries.add(size)
-        self.deliveries_by_node[node].add(size)
+        total = self.deliveries
+        total.packets += 1
+        total.bytes += size
+        per_node = self.deliveries_by_node[node]
+        per_node.packets += 1
+        per_node.bytes += size
 
     def snapshot(self) -> Dict[str, int]:
         """A flat dict convenient for printing benchmark rows."""

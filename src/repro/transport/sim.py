@@ -25,6 +25,9 @@ class SimTransport:
         self._nic = network.attach(node)
         self._node = node
         self._port: Optional[int] = None
+        #: The bound source address, built once at open(): every outbound
+        #: packet carries it.
+        self._address: Optional[Address] = None
         self._receiver: Optional[RawReceiver] = None
         self._open = False
 
@@ -40,21 +43,18 @@ class SimTransport:
         if self._open:
             raise TransportError(f"transport on {self._node} already open")
         self._port = port
+        self._address = Address(self._node, port)
         self._receiver = receiver
         self._nic.set_receiver(self._on_packet)
         self._open = True
-        return Address(self._node, port)
+        return self._address
 
     def send_bytes(self, destination: Destination, payload: bytes) -> None:
         if not self._open:
             raise TransportError("transport not open")
-        assert self._port is not None
-        packet = Packet(
-            source=Address(self._node, self._port),
-            destination=destination,
-            payload=payload,
+        self._nic.send(
+            Packet(source=self._address, destination=destination, payload=payload)
         )
-        self._nic.send(packet)
 
     def join(self, group: GroupName) -> None:
         self._nic.join(group)

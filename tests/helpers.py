@@ -5,6 +5,23 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro import Service, SimRuntime
+from repro.protocol.admission import AdmissionPolicy
+from repro.protocol.reliability import ReliabilityHardening
+
+
+def switches_off() -> dict:
+    """``ContainerConfig`` overrides for every switch whose default an
+    environment variable can arm (``REPRO_ADMISSION``,
+    ``REPRO_RELIABILITY_HARDENING``, ``REPRO_PAYLOAD_SANITIZER``,
+    ``REPRO_VERIFY``): tests that pin exact traffic or call counts build
+    their containers with these so a CI job arming them does not move the
+    figures."""
+    return {
+        "admission": AdmissionPolicy(),
+        "reliability_hardening": ReliabilityHardening(),
+        "payload_sanitizer": "off",
+        "verification": "off",
+    }
 
 
 class ProbeService(Service):

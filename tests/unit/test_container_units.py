@@ -139,7 +139,7 @@ class TestConfig:
 
     def test_defaults_valid(self):
         config = self.base()
-        assert config.codec == "binary"
+        assert config.codec == "compiled"
         assert config.event_mapping == "udp_ack"
 
     def test_bad_event_mapping(self):

@@ -14,6 +14,7 @@ from repro.observability import (
     build_span_tree,
     format_span_tree,
 )
+from repro.protocol.frames import MessageKind
 from repro.util import ManualClock
 from repro.util.stats import Tally
 
@@ -177,6 +178,30 @@ class TestMetricsRegistry:
         # Ordered by (instrument kind, name, labels): counters, then gauges.
         assert list(registry.snapshot()) == ["a", "z", "m"]
 
+    def test_collector_fills_its_counters_before_every_read(self):
+        registry = MetricsRegistry()
+        counts = {"EVENT": 0}
+        runs = []
+
+        def collect(target):
+            runs.append(1)
+            for kind, count in counts.items():
+                target.counter("frames_sent", kind=kind).value = count
+
+        registry.add_collector(["frames_sent"], collect)
+        counts["EVENT"] = 3
+        assert registry.counter_value("frames_sent", kind="EVENT") == 3
+        counts["EVENT"] = 5
+        assert registry.snapshot() == {"frames_sent{kind=EVENT}": 5}
+        merged = MetricsRegistry()
+        counts["EVENT"] = 6
+        merged.absorb(registry, container="c")
+        assert merged.counter_value("frames_sent", container="c", kind="EVENT") == 6
+        # A lookup of another metric does not run it.
+        before = len(runs)
+        assert registry.counter_value("other") == 0
+        assert len(runs) == before
+
 
 class TestFlightRecorder:
     def test_ring_is_bounded_but_counts_everything(self):
@@ -204,6 +229,17 @@ class TestFlightRecorder:
         assert doc["capacity"] == 2
         assert doc["recorded"] == 1
         assert doc["entries"][0]["kind"] == "EVENT"
+
+    def test_frame_entries_dump_like_records(self):
+        clock = ManualClock()
+        by_frame, by_record = FlightRecorder(clock), FlightRecorder(clock)
+        by_frame.frame("tx", MessageKind.EVENT, None, 7, 12)
+        by_frame.frame("rx", MessageKind.ACK, "peer", 3, 6)
+        by_record.record("tx", kind="EVENT", seq=7, bytes=12)
+        by_record.record("rx", kind="ACK", source="peer", seq=3, bytes=6)
+        assert by_frame.dump() == by_record.dump()
+        assert [list(e) for e in by_frame.dump()] == [list(e) for e in by_record.dump()]
+        assert by_frame.recorded == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
