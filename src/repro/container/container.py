@@ -222,6 +222,24 @@ class ServiceContainer:
         self.events = EventManager(self)
         self.invocations = InvocationManager(self)
         self.files = FileTransferManager(self)
+        #: kind -> bound handler of every data-plane frame kind, built once
+        #: here: one dict lookup per frame. Kinds not in it are dropped
+        #: silently (forward compatibility).
+        self._handlers: Dict[MessageKind, Callable[[Frame], None]] = {
+            MessageKind.VAR_SAMPLE: self.variables.on_sample_frame,
+            MessageKind.VAR_INITIAL_REQUEST: self.variables.on_initial_request,
+            MessageKind.VAR_INITIAL_RESPONSE: self.variables.on_initial_response,
+            MessageKind.EVENT: self.events.on_event_frame,
+            MessageKind.EVENT_SUBSCRIBE: self.events.on_subscribe_frame,
+            MessageKind.RPC_REQUEST: self.invocations.on_request_frame,
+            MessageKind.RPC_RESPONSE: self.invocations.on_response_frame,
+            MessageKind.FILE_ANNOUNCE: self.files.on_announce_frame,
+            MessageKind.FILE_SUBSCRIBE: self.files.on_subscribe_frame,
+            MessageKind.FILE_CHUNK: self.files.on_chunk_frame,
+            MessageKind.FILE_STATUS_REQUEST: self.files.on_status_request_frame,
+            MessageKind.FILE_COMPLETION_ACK: self.files.on_completion_ack_frame,
+            MessageKind.FILE_COMPLETION_NACK: self.files.on_completion_nack_frame,
+        }
         self._services: Dict[str, ServiceRecord] = {}
         self.supervisor = ServiceSupervisor(self, rng=rng)
         #: Per-container runtime-verification engine; armed lazily at
@@ -639,13 +657,17 @@ class ServiceContainer:
         """
         try:
             # Channel 0 is the best-effort data plane — the common case at
-            # telemetry rates — and skips the reliability layers outright.
-            if frame.channel != 0:
-                # Reliability layers consume their channels (and emit acks).
-                if self.links.on_frame(frame):
-                    return
-                if self.tcp_links.on_frame(frame):
-                    return
+            # telemetry rates — and goes straight to its handler.
+            if frame.channel == 0:
+                handler = self._handlers.get(frame.kind)
+                if handler is not None:
+                    handler(frame)
+                return
+            # Reliability layers consume their channels (and emit acks).
+            if self.links.on_frame(frame):
+                return
+            if self.tcp_links.on_frame(frame):
+                return
             self._dispatch(frame)
         except (ProtocolError, EncodingError) as exc:
             self._note_malformed(frame, exc)
@@ -710,34 +732,9 @@ class ServiceContainer:
         self._dispatch(frame)
 
     def _dispatch(self, frame: Frame) -> None:
-        kind = frame.kind
-        if kind == MessageKind.VAR_SAMPLE:
-            self.variables.on_sample_frame(frame)
-        elif kind == MessageKind.VAR_INITIAL_REQUEST:
-            self.variables.on_initial_request(frame)
-        elif kind == MessageKind.VAR_INITIAL_RESPONSE:
-            self.variables.on_initial_response(frame)
-        elif kind == MessageKind.EVENT:
-            self.events.on_event_frame(frame)
-        elif kind == MessageKind.EVENT_SUBSCRIBE:
-            self.events.on_subscribe_frame(frame)
-        elif kind == MessageKind.RPC_REQUEST:
-            self.invocations.on_request_frame(frame)
-        elif kind == MessageKind.RPC_RESPONSE:
-            self.invocations.on_response_frame(frame)
-        elif kind == MessageKind.FILE_ANNOUNCE:
-            self.files.on_announce_frame(frame)
-        elif kind == MessageKind.FILE_SUBSCRIBE:
-            self.files.on_subscribe_frame(frame)
-        elif kind == MessageKind.FILE_CHUNK:
-            self.files.on_chunk_frame(frame)
-        elif kind == MessageKind.FILE_STATUS_REQUEST:
-            self.files.on_status_request_frame(frame)
-        elif kind == MessageKind.FILE_COMPLETION_ACK:
-            self.files.on_completion_ack_frame(frame)
-        elif kind == MessageKind.FILE_COMPLETION_NACK:
-            self.files.on_completion_nack_frame(frame)
-        # Unknown kinds are dropped silently: forward compatibility.
+        handler = self._handlers.get(frame.kind)
+        if handler is not None:
+            handler(frame)
 
     def _on_tcp_event_payload(self, peer: str, payload: bytes) -> None:
         doc, trace = wire.decode_traced(wire.EVENT_MESSAGE_SCHEMA, payload)

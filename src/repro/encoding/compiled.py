@@ -523,6 +523,16 @@ def _compile_decoder(datatype: DataType) -> _Decoder:
 # globals, so the two layers always agree.
 
 
+#: What a generated decoder raises on a short buffer besides its own
+#: EncodingError; every caller of a decoder maps them with :func:`truncated`.
+DECODE_FAULTS = (struct.error, IndexError)
+
+
+def truncated(exc: Exception) -> EncodingError:
+    """The EncodingError of a decode that hit one of :data:`DECODE_FAULTS`."""
+    return EncodingError(f"truncated payload: {exc}")
+
+
 def _seq_err(length):
     return EncodingError(f"sequence length {length} exceeds sanity limit")
 
@@ -1001,11 +1011,11 @@ class CompiledCodec:
             value, consumed = entry[2](data, 0)
         except EncodingError:
             raise
-        except (struct.error, IndexError) as exc:
-            raise EncodingError(f"truncated payload: {exc}") from exc
+        except DECODE_FAULTS as exc:
+            raise truncated(exc) from exc
         return value, consumed, len(data)
 
 
 register_codec(CompiledCodec())
 
-__all__ = ["CompiledCodec", "compile_plan"]
+__all__ = ["CompiledCodec", "compile_plan", "DECODE_FAULTS", "truncated"]

@@ -13,6 +13,9 @@
    missing-chunk list; the next round retransmits only the union of missing
    chunks, iterating "until the subscribers list is empty".
 
+A round's chunks wait in the session's FIFO queue (a deque, popped from
+the left) and leave in ascending index order, one per pacing tick.
+
 Phases overlap per subscriber: a service subscribing mid-transfer receives
 the remaining chunks live and NACKs the ones it missed. Revision bumps
 restart collection. Same-container subscribers are served by the **bypass**:
@@ -22,13 +25,15 @@ resource".
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from functools import cached_property, partial
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import file_group
+from repro.simnet.addressing import GroupName, file_group
 from repro.util.errors import ConfigurationError
 
 OnComplete = Callable[[bytes, int], None]  # (data, revision)
@@ -48,7 +53,7 @@ class FileResource:
     #: Trace context of the publish; rides every announce/chunk frame.
     trace: object = None
 
-    @property
+    @cached_property
     def total_chunks(self) -> int:
         if not self.data:
             return 1  # an empty file still needs one (empty) chunk
@@ -70,11 +75,18 @@ class FileResource:
 
 @dataclass
 class _Session:
-    """Publisher-side transfer state for one resource."""
+    """Publisher-side transfer state for one resource.
+
+    The chunk group and the delivery mode are fixed for the session's life,
+    so they are resolved once here rather than per chunk.
+    """
 
     resource: FileResource
+    #: Multicast (one group send per chunk) or the unicast baseline (E4).
+    multicast: bool = True
     pending: Set[str] = field(default_factory=set)  # incomplete subscribers
-    queue: List[int] = field(default_factory=list)  # chunks left this round
+    #: Chunks left this round, in emission order (O(1) pops from the left).
+    queue: Deque[int] = field(default_factory=deque)
     missing: Set[int] = field(default_factory=set)  # NACK union for next round
     answered: Set[str] = field(default_factory=set)  # replied this poll
     round: int = 0
@@ -83,6 +95,11 @@ class _Session:
     silent_polls: int = 0
     timer: object = None
     chunks_sent: int = 0
+    #: The group the chunks and status requests travel on.
+    group: GroupName = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.group = file_group(self.resource.name)
 
 
 @dataclass
@@ -168,7 +185,7 @@ class FileTransferManager:
             # Revision changed mid-transfer: restart the round with the new
             # content for everyone still pending.
             session.resource = resource
-            session.queue = list(range(resource.total_chunks))
+            session.queue = deque(range(resource.total_chunks))
             session.missing.clear()
             session.round = 0
             self._continue_transfer(session)
@@ -289,41 +306,53 @@ class FileTransferManager:
             return
         session = self._sessions.get(doc["name"])
         if session is None or session.resource.revision != resource.revision:
-            session = _Session(resource=resource)
+            session = _Session(
+                resource=resource,
+                multicast=getattr(self._host.config, "file_multicast", True),
+            )
             self._sessions[doc["name"]] = session
         session.pending.add(doc["subscriber"])
         if not session.in_transfer and not session.awaiting_status:
-            session.queue = list(range(resource.total_chunks))
+            session.queue = deque(range(resource.total_chunks))
             session.round = 0
             self._continue_transfer(session)
         # else: late join (§4.4) — it catches up at the completion phase.
 
     def on_chunk_frame(self, frame: Frame) -> None:
+        # The per-delivery path of a multicast chunk: FileSubscription.complete
+        # is spelled out inline.
         doc, trace = wire.decode_traced(wire.FILE_CHUNK_SCHEMA, frame.payload)
-        for sub in list(self._subscriptions.get(doc["name"], [])):
-            if not sub.active or sub.complete:
+        subs = self._subscriptions.get(doc["name"])
+        if not subs:
+            return
+        revision = doc["revision"]
+        index = doc["index"]
+        total = doc["total"]
+        for sub in list(subs):
+            chunks = sub.chunks
+            if not sub.active or (sub.total is not None and len(chunks) == sub.total):
                 continue
-            if doc["revision"] < sub.revision:
+            if revision < sub.revision:
                 continue  # stale revision still in flight
-            if doc["revision"] > sub.revision:
+            if revision > sub.revision:
                 action = "restart"
                 if sub.on_revision is not None and sub.revision > 0:
-                    action = sub.on_revision(doc["revision"])
+                    action = sub.on_revision(revision)
                 if action != "restart":
                     continue
-                sub.revision = doc["revision"]
-                sub.chunks.clear()
-            sub.total = doc["total"]
+                sub.revision = revision
+                chunks.clear()
+            sub.total = total
             sub.provider = frame.source
             if trace is not None:
                 sub.trace = trace
-            if doc["index"] not in sub.chunks:
-                sub.chunks[doc["index"]] = doc["data"]
+            if index not in chunks:
+                chunks[index] = doc["data"]
                 if sub.on_progress is not None:
                     self._host.submit(
                         "file", lambda s=sub: s.on_progress(len(s.chunks), s.total)
                     )
-            if sub.complete:
+            if len(chunks) == total:
                 self._complete_subscription(sub, frame.source)
 
     def on_status_request_frame(self, frame: Frame) -> None:
@@ -377,7 +406,7 @@ class FileTransferManager:
         if not session.queue:
             self._start_completion_poll(session)
             return
-        index = session.queue.pop(0)
+        index = session.queue.popleft()
         resource = session.resource
         payload = wire.encode(
             wire.FILE_CHUNK_SCHEMA,
@@ -390,9 +419,9 @@ class FileTransferManager:
             },
             trace=resource.trace,
         )
-        frame = Frame(kind=MessageKind.FILE_CHUNK, source=self._host.id, payload=payload)
-        if getattr(self._host.config, "file_multicast", True):
-            self._host.send_group(file_group(resource.name), frame)
+        frame = Frame(MessageKind.FILE_CHUNK, self._host.id, payload)
+        if session.multicast:
+            self._host.send_group(session.group, frame)
             session.chunks_sent += 1
         else:
             # Unicast baseline: one copy per pending subscriber (E4).
@@ -400,7 +429,8 @@ class FileTransferManager:
                 self._host.send_unicast(peer, frame)
                 session.chunks_sent += 1
         session.timer = self._host.timers.schedule(
-            self._host.config.file_chunk_interval, lambda: self._continue_transfer(session)
+            self._host.config.file_chunk_interval,
+            partial(self._continue_transfer, session),
         )
 
     def _start_completion_poll(self, session: _Session) -> None:
@@ -416,8 +446,8 @@ class FileTransferManager:
         frame = Frame(
             kind=MessageKind.FILE_STATUS_REQUEST, source=self._host.id, payload=payload
         )
-        if getattr(self._host.config, "file_multicast", True):
-            self._host.send_group(file_group(resource.name), frame)
+        if session.multicast:
+            self._host.send_group(session.group, frame)
         else:
             for peer in sorted(session.pending):
                 self._host.send_unicast(peer, frame)
@@ -442,7 +472,7 @@ class FileTransferManager:
             return
         if session.missing:
             session.silent_polls = 0
-            session.queue = sorted(session.missing)
+            session.queue = deque(sorted(session.missing))
             session.missing = set()
             self._continue_transfer(session)
             return
@@ -495,7 +525,7 @@ class FileTransferManager:
         self._host.send_reliable(provider, MessageKind.FILE_COMPLETION_NACK, payload)
 
     def _complete_subscription(self, sub: FileSubscription, provider: str) -> None:
-        data = b"".join(sub.chunks[i] for i in range(sub.total))
+        data = b"".join(map(sub.chunks.__getitem__, range(sub.total)))
         if sub.size is not None and len(data) > sub.size:
             data = data[: sub.size]  # final chunk padding guard
         sub.completed_revision = sub.revision

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.encoding.compiled import CompiledCodec
+from repro.encoding.compiled import DECODE_FAULTS, CompiledCodec, compile_plan, truncated
 from repro.encoding.types import (
     BOOL,
     BYTES,
@@ -148,6 +148,30 @@ TRACE_CONTEXT_SCHEMA = StructType(
 TRACE_TAIL_TAG = 0x54
 
 
+#: The generated decoder of every schema above, keyed by identity (the
+#: schemas are module constants, so no other live object shares an id):
+#: :func:`decode_traced` calls it with no codec layer in between.
+_DECODERS = {
+    id(schema): compile_plan(schema)[1]
+    for schema in (
+        VAR_SAMPLE_SCHEMA,
+        VAR_INITIAL_REQUEST_SCHEMA,
+        VAR_INITIAL_RESPONSE_SCHEMA,
+        EVENT_MESSAGE_SCHEMA,
+        EVENT_SUBSCRIBE_SCHEMA,
+        RPC_REQUEST_SCHEMA,
+        RPC_RESPONSE_SCHEMA,
+        FILE_ANNOUNCE_SCHEMA,
+        FILE_SUBSCRIBE_SCHEMA,
+        FILE_CHUNK_SCHEMA,
+        FILE_STATUS_REQUEST_SCHEMA,
+        FILE_ACK_SCHEMA,
+        FILE_NACK_SCHEMA,
+        FILE_DONE_SCHEMA,
+    )
+}
+
+
 def encode(schema: StructType, doc: dict, trace: Optional[TraceContext] = None) -> bytes:
     """Encode ``doc``; with ``trace`` set, append the trace-context tail.
 
@@ -162,8 +186,16 @@ def encode(schema: StructType, doc: dict, trace: Optional[TraceContext] = None) 
 def decode_traced(
     schema: StructType, payload: bytes
 ) -> Tuple[dict, Optional[TraceContext]]:
-    """Decode a payload that may carry a trace tail; (doc, context-or-None)."""
-    doc, consumed = _CODEC.decode_prefix(schema, payload)
+    """Decode a payload that may carry a trace tail; (doc, context-or-None).
+
+    Calls the schema's generated decoder directly, mapping its faults to
+    EncodingError exactly as ``CompiledCodec`` does."""
+    try:
+        doc, consumed = (_DECODERS.get(id(schema)) or compile_plan(schema)[1])(
+            payload, 0
+        )
+    except DECODE_FAULTS as exc:
+        raise truncated(exc) from exc
     if consumed == len(payload):
         return doc, None
     if payload[consumed] != TRACE_TAIL_TAG:

@@ -30,6 +30,9 @@ _HEADER = struct.Struct("<2sBBBHI")  # magic, version, kind, flags, channel, seq
 _SRC_LEN = struct.Struct("<B")
 # The full fixed prefix (header + source length) packed/unpacked in one call.
 _HEADER_SRC = struct.Struct("<2sBBBHIB")
+# Read on every inbound frame: bound once here.
+_PREFIX_SIZE = _HEADER_SRC.size
+_unpack_prefix = _HEADER_SRC.unpack_from
 
 #: Source ids are container ids — a handful of distinct strings per process —
 #: so their UTF-8 encodings are cached instead of re-encoded per frame.
@@ -165,11 +168,10 @@ class Frame:
 
     @classmethod
     def decode(cls, data: bytes) -> "Frame":
-        if len(data) < _HEADER_SRC.size:
-            raise ProtocolError(f"frame too short: {len(data)} bytes")
-        magic, version, kind, flags, channel, seq, src_len = _HEADER_SRC.unpack_from(
-            data
-        )
+        size = len(data)
+        if size < _PREFIX_SIZE:
+            raise ProtocolError(f"frame too short: {size} bytes")
+        magic, version, kind, flags, channel, seq, src_len = _unpack_prefix(data)
         if magic != MAGIC:
             raise ProtocolError(f"bad magic {magic!r}")
         if version != VERSION:
@@ -177,20 +179,12 @@ class Frame:
         kind_enum = _KIND_BY_VALUE.get(kind)
         if kind_enum is None:
             raise ProtocolError(f"unknown message kind {kind}")
-        offset = _HEADER_SRC.size
-        if len(data) < offset + src_len:
+        end = _PREFIX_SIZE + src_len
+        if size < end:
             raise ProtocolError("frame truncated inside source id")
-        source = data[offset : offset + src_len].decode("utf-8")
-        payload = data[offset + src_len :]
-        return cls(
-            kind=kind_enum,
-            source=source,
-            payload=payload,
-            channel=channel,
-            seq=seq,
-            flags=flags,
-            version=version,
-        )
+        source = data[_PREFIX_SIZE:end].decode("utf-8")
+        # Positional, in field order: keyword binding costs more per frame.
+        return cls(kind_enum, source, data[end:], channel, seq, flags, version)
 
     @property
     def header_size(self) -> int:

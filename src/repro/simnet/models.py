@@ -9,6 +9,7 @@ small switched Ethernet segment, the medium the paper targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.util.rng import SeededRng
 
@@ -61,6 +62,13 @@ class LinkModel:
     def drops(self, rng: SeededRng) -> bool:
         """Draw the independent loss event for one packet."""
         return rng.chance(self.loss)
+
+    def sampler(self, rng: SeededRng) -> Callable[[], Optional[float]]:
+        """:meth:`drops` then, if the packet survives,
+        :meth:`propagation_delay`, fused into one call on ``rng``'s stream:
+        each call returns None for a lost packet, else its delay. Draw
+        order and values are those of the two methods."""
+        return rng.lossy_jitter_sampler(self.loss, self.latency, self.jitter, floor=0.0)
 
 
 #: A perfect link — zero latency, no loss, infinite bandwidth. Useful in

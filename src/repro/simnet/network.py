@@ -8,9 +8,9 @@ draw — exactly the property the paper's variable and file primitives exploit.
 
 Fleet-scale missions (1,000+ nodes) hammer the emission path, so the
 network keeps two per-emission caches — the resolved ``(LinkModel,
-SeededRng)`` pair per directed node pair, and the sorted receiver list per
-``(sender, group)`` — and groups same-arrival multicast deliveries into one
-kernel event. Both paths produce identical packet traces; constructing the
+SeededRng)`` pair and its fused loss/delay sampler per directed node pair,
+and the sorted receiver list per ``(sender, group)`` — and groups
+same-arrival multicast deliveries into one kernel event. Both paths produce identical packet traces; constructing the
 network with ``optimized=False`` selects the original per-send resolution
 (the baseline `bench_fleet.py` measures against).
 
@@ -34,23 +34,44 @@ from repro.util.errors import TransportError
 from repro.util.rng import SeededRng
 
 Receiver = Callable[[Packet], None]
+#: One receiver's fused loss and delay draw: None when lost, else the delay.
+Sampler = Callable[[], Optional[float]]
+#: A bound datagram endpoint, called with ``(payload, source address)`` the
+#: way a socket receives: what the PEPt Transport binds to its node's NIC.
+Endpoint = Callable[[bytes, Address], None]
 
 
 class SimNic:
     """A node's network interface.
 
     The PEPt Transport layer binds to one of these; services never touch it.
+    A NIC delivers either to one bound endpoint (:meth:`bind`, a socket on
+    one port) or to a packet-level receiver (:meth:`set_receiver`, every
+    packet as a :class:`Packet`); installing one removes the other.
     """
 
     def __init__(self, network: "SimNetwork", node: str):
         self._network = network
         self.node = node
         self._receiver: Optional[Receiver] = None
+        self._endpoint: Optional[Endpoint] = None
+        self._port: Optional[int] = None
         self.up = True
 
-    def set_receiver(self, receiver: Receiver) -> None:
-        """Install the callback invoked for every delivered packet."""
+    def set_receiver(self, receiver: Optional[Receiver]) -> None:
+        """Install the callback invoked with every delivered packet (None:
+        deliveries are dropped silently, as by a closed socket)."""
         self._receiver = receiver
+        self._endpoint = None
+        self._port = None
+
+    def bind(self, port: int, endpoint: Endpoint) -> None:
+        """Bind a datagram endpoint on ``port``: it gets every multicast
+        packet delivered here and the unicast ones addressed to ``port``,
+        as ``endpoint(payload, source)``."""
+        self._receiver = None
+        self._endpoint = endpoint
+        self._port = port
 
     def send(self, packet: Packet) -> None:
         """Emit a packet onto the medium."""
@@ -63,7 +84,12 @@ class SimNic:
         self._network._leave(self.node, group)
 
     def _deliver(self, packet: Packet) -> None:
-        if self._receiver is not None:
+        endpoint = self._endpoint
+        if endpoint is not None:
+            destination = packet.destination
+            if not isinstance(destination, Address) or destination.port == self._port:
+                endpoint(packet.payload, packet.source)
+        elif self._receiver is not None:
             self._receiver(packet)
 
 
@@ -108,10 +134,11 @@ class SimNetwork:
         self._groups: Dict[GroupName, Set[str]] = {}
         # Per-sender "uplink busy until" time implementing serialization delay.
         self._uplink_free_at: Dict[str, float] = {}
-        #: Resolved (LinkModel, SeededRng) per directed pair. The RNG
-        #: objects are owned by ``_link_rngs`` — invalidating this cache
-        #: must never re-fork a stream or draw order would reset.
-        self._pair_cache: Dict[Tuple[str, str], Tuple[LinkModel, SeededRng]] = {}
+        #: Resolved (LinkModel, SeededRng, sampler) per directed pair; the
+        #: sampler is ``LinkModel.sampler`` on that stream. The RNG objects
+        #: are owned by ``_link_rngs`` — invalidating this cache must never
+        #: re-fork a stream or draw order would reset.
+        self._pair_cache: Dict[Tuple[str, str], Tuple[LinkModel, SeededRng, Sampler]] = {}
         #: (sender, group) -> (sorted receivers excluding sender, sender in
         #: group). Cleared wholesale on any membership or zone change.
         self._reach_cache: Dict[Tuple[str, GroupName], Tuple[List[str], bool]] = {}
@@ -204,11 +231,12 @@ class SimNetwork:
             self._link_rngs[key] = self._rng.fork(f"link:{src}->{dst}")
         return self._link_rngs[key]
 
-    def _pair(self, src: str, dst: str) -> Tuple[LinkModel, SeededRng]:
+    def _pair(self, src: str, dst: str) -> Tuple[LinkModel, SeededRng, Sampler]:
         key = (src, dst)
         pair = self._pair_cache.get(key)
         if pair is None:
-            pair = (self.link_for(src, dst), self._link_rng(src, dst))
+            model, rng = self.link_for(src, dst), self._link_rng(src, dst)
+            pair = (model, rng, model.sampler(rng))
             self._pair_cache[key] = pair
         return pair
 
@@ -253,7 +281,7 @@ class SimNetwork:
         destination = packet.destination
         if isinstance(destination, Address):
             if self._optimized:
-                model, _ = self._pair(src, destination.node)
+                model = self._pair(src, destination.node)[0]
             else:
                 model = self.link_for(src, destination.node)
         if isinstance(destination, GroupName):
@@ -314,11 +342,16 @@ class SimNetwork:
     def _schedule_deliveries(
         self, src: str, receivers, packet: Packet, tx_done: float
     ) -> None:
-        """Draw per-receiver loss/latency (in receiver order, exactly like
-        the per-receiver path) and schedule ONE kernel event per distinct
-        arrival instant, delivering to that instant's receivers in order.
-        Relative delivery order is unchanged: same-arrival deliveries kept
-        their receiver order before (heap ties break by insertion seq)."""
+        """Draw each receiver's loss and latency, in receiver order, and
+        schedule ONE kernel event per distinct arrival instant, delivering
+        to that instant's receivers in order.
+
+        A receiver costs one call: the pair's sampler in ``_pair_cache``
+        makes the same draws, on the same stream and in the same order, as
+        ``LinkModel.drops`` then ``LinkModel.propagation_delay`` on the
+        reference path. Relative delivery order is unchanged: same-arrival
+        deliveries kept their receiver order before (heap ties break by
+        insertion seq)."""
         nics = self._nics
         pairs = self._pair_cache
         by_arrival: Dict[float, List[str]] = {}
@@ -331,11 +364,11 @@ class SimNetwork:
                 # Local loopback: no propagation delay or loss.
                 arrival = tx_done
             else:
-                model, rng = pairs.get((src, dst)) or self._pair(src, dst)
-                if model.drops(rng):
+                delay = (pairs.get((src, dst)) or self._pair(src, dst))[2]()
+                if delay is None:
                     self.stats.drops_loss.add(packet.size)
                     continue
-                arrival = tx_done + model.propagation_delay(rng)
+                arrival = tx_done + delay
             group = by_arrival.get(arrival)
             if group is None:
                 by_arrival[arrival] = [dst]
@@ -350,34 +383,50 @@ class SimNetwork:
         self, group: List[str], packet: Packet, arrival: float
     ) -> None:
         """The kernel event of one arrival instant (``arrival`` is the
-        current time when it runs)."""
-        delivered: Optional[Packet] = None
+        current time when it runs): what :meth:`SimNic._deliver` and
+        ``NetworkStats.record_delivery`` do, inline. A bound endpoint gets
+        ``(payload, source)`` straight away; a :class:`Packet` is built only
+        for the trace or a packet-level receiver."""
         nics = self._nics
         stats = self.stats
-        size = len(packet.payload) + WIRE_OVERHEAD_BYTES
+        deliveries = stats.deliveries
+        by_node = stats.deliveries_by_node
+        trace = self._trace
+        payload = packet.payload
+        source = packet.source
+        destination = packet.destination
+        # Unicast reaches only the endpoint bound to its port.
+        port = destination.port if isinstance(destination, Address) else None
+        size = len(payload) + WIRE_OVERHEAD_BYTES
+        delivered: Optional[Packet] = None
         for dst in group:
             nic = nics.get(dst)
             if nic is None or not nic.up:
                 stats.drops_down.add(size)
                 continue
-            if delivered is None:
-                # One Packet object serves the whole same-instant group:
-                # every field is identical and payload bytes are
-                # immutable, so receivers cannot tell copies apart.
-                delivered = Packet(
-                    source=packet.source,
-                    destination=packet.destination,
-                    payload=packet.payload,
-                    sent_at=packet.sent_at,
-                    delivered_at=arrival,
-                )
-            stats.record_delivery(dst, size)
-            if self._trace is not None:
-                self._trace.append(delivered)
-            # Straight to the bound transport (what SimNic._deliver does).
-            receiver = nic._receiver
-            if receiver is not None:
-                receiver(delivered)
+            deliveries.packets += 1
+            deliveries.bytes += size
+            counter = by_node[dst]
+            counter.packets += 1
+            counter.bytes += size
+            endpoint = nic._endpoint
+            if trace is not None or endpoint is None:
+                if delivered is None:
+                    # One Packet object serves the whole same-instant group:
+                    # every field is identical and payload bytes are
+                    # immutable, so receivers cannot tell copies apart.
+                    delivered = Packet(
+                        source, destination, payload, packet.sent_at, arrival
+                    )
+                if trace is not None:
+                    trace.append(delivered)
+                if endpoint is None:
+                    receiver = nic._receiver
+                    if receiver is not None:
+                        receiver(delivered)
+                    continue
+            if port is None or port == nic._port:
+                endpoint(payload, source)
 
     # -- delivery, reference path ---------------------------------------------
     def _schedule_delivery(self, src: str, dst: str, packet: Packet, tx_done: float) -> None:
@@ -416,4 +465,4 @@ class SimNetwork:
         self._sim.schedule_at(arrival, deliver)
 
 
-__all__ = ["SimNetwork", "SimNic", "Receiver"]
+__all__ = ["SimNetwork", "SimNic", "Receiver", "Endpoint", "Sampler"]

@@ -22,6 +22,11 @@ from repro.util.errors import EncodingError, ProtocolError
 #: Callback invoked with (frame, source_address) for each inbound frame.
 FrameReceiver = Callable[[Frame, Address], None]
 
+# Tested on every inbound datagram: module constants, not enum attribute
+# lookups.
+_FRAGMENT = MessageKind.FRAGMENT
+_BATCH = MessageKind.BATCH
+
 
 class FrameTransport:
     """Frame-level send/receive over any :class:`RawTransport`."""
@@ -110,12 +115,12 @@ class FrameTransport:
     def _on_datagram(self, payload: bytes, source: Address) -> None:
         try:
             frame = Frame.decode(payload)
-            if frame.kind == MessageKind.FRAGMENT:
+            if frame.kind == _FRAGMENT:
                 complete = self._reassembler.on_fragment(frame, self._clock.now())
                 if complete is None:
                     return
                 frame = Frame.decode(complete)
-            if frame.kind == MessageKind.BATCH:
+            if frame.kind == _BATCH:
                 # Transparent unbatching: each inner frame enters the normal
                 # dispatch path exactly as if it had arrived alone.
                 inner_frames = decode_batch_payload(frame.payload)

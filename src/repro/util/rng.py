@@ -8,7 +8,7 @@ so that every run is reproducible packet-for-packet.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -78,6 +78,34 @@ class SeededRng:
     def jittered(self, base: float, jitter: float, floor: float = 0.0) -> float:
         """``base`` plus symmetric uniform jitter, clamped below at ``floor``."""
         return max(floor, base + self._rng.uniform(-jitter, jitter))
+
+    def lossy_jitter_sampler(
+        self, loss: float, base: float, jitter: float, floor: float = 0.0
+    ) -> Callable[[], Optional[float]]:
+        """A fused ``chance(loss)`` then ``jittered(base, jitter, floor)``.
+
+        Each call of the returned function draws exactly what the two calls
+        would, from this stream and in the same order, with the same float
+        arithmetic: None when the loss draw fires, the jittered value
+        otherwise. The loss draw is skipped when ``loss`` is 0 or 1, as in
+        :meth:`chance`; the jitter draw is taken even when ``jitter`` is 0.
+        One Python call per sample instead of four.
+        """
+        random_ = self._rng.random
+        uniform = self._rng.uniform
+        lo = -jitter
+
+        if loss <= 0.0:
+            return lambda: max(floor, base + uniform(lo, jitter))
+        if loss >= 1.0:
+            return lambda: None
+
+        def sample() -> Optional[float]:
+            if random_() < loss:
+                return None
+            return max(floor, base + uniform(lo, jitter))
+
+        return sample
 
     def maybe(self, probability: float, value: Optional[T], default: Optional[T] = None):
         return value if self.chance(probability) else default

@@ -1,15 +1,22 @@
-"""Deterministic call-count budget of the control path.
+"""Deterministic call-count budgets of the control path and the file path.
 
-Counts the Python calls into ``src/repro`` code, by package, over a small
-seeded ``SimRuntime`` scenario: one publisher, one subscriber and one
-server container; 30 warm-up ops, then 100 variable samples, 100
-acknowledged events and 100 one-argument calls, one op per 20 ms virtual
-window, in a seeded order. In virtual time the count repeats exactly for a
-seed, so it can be gated where wall time cannot.
+Counts the Python calls into ``src/repro`` code, by package, over two small
+seeded ``SimRuntime`` scenarios:
 
-The test fails when any package (or the total) makes more than
+- control: one publisher, one subscriber and one server container; 30
+  warm-up ops, then 100 variable samples, 100 acknowledged events and 100
+  one-argument calls, one op per 20 ms virtual window, in a seeded order;
+- file: a camera container multicasts two 64 KiB photos to three receiver
+  containers over links that drop 2% of packets; counted from the first
+  publish until every receiver holds both photos and the completion ACKs
+  have settled.
+
+In virtual time the counts repeat exactly for a seed, so they can be gated
+where wall time cannot.
+
+The tests fail when any package (or the total) makes more than
 ``tolerance`` above its budget in ``calls-budget.json`` at the repository
-root. The budget changes only through this script, run from the repository
+root. The budgets change only through this script, run from the repository
 root:
 
     PYTHONPATH=src python -m tests.integration.test_call_budget --update
@@ -30,6 +37,7 @@ from typing import Dict, Optional
 
 from repro import Service, SimRuntime
 from repro.encoding.types import FLOAT64, UINT32, StructType
+from repro.simnet.models import LinkModel
 from repro.util.ids import reset_uid_counter
 from tests.helpers import switches_off
 
@@ -44,6 +52,12 @@ VAR = "budget.var"
 EVENT = "budget.event"
 FUNCTION = "budget.scale"
 EVENT_TYPE = StructType("BudgetEvent", [("seq", UINT32), ("value", FLOAT64)])
+
+FILE_RECEIVERS = 3
+FILE_PHOTOS = 2
+FILE_PHOTO_SIZE = 64 << 10
+FILE_LOSS = 0.02
+FILE_SETTLE = 0.1
 
 SRC_MARK = "/src/repro/"
 INLINED_IN_312 = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -92,9 +106,48 @@ def package_of(filename: str) -> Optional[str]:
     return rel.split("/", 1)[0] if "/" in rel else "repro"
 
 
+class Camera(Service):
+    def __init__(self):
+        super().__init__("budget-camera")
+
+
+class PhotoSink(Service):
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.photos = []
+
+    def on_start(self) -> None:
+        for i in range(FILE_PHOTOS):
+            self.ctx.subscribe_file(
+                f"budget.photo.{i}",
+                on_complete=lambda data, revision: self.photos.append(data),
+            )
+
+
+def _call_counter():
+    """A profile hook counting calls per package into ``counts``."""
+    counts: Dict[str, int] = defaultdict(int)
+    packages: Dict[object, Optional[str]] = {}
+
+    def hook(frame, event, arg) -> None:
+        if event != "call":
+            return
+        code = frame.f_code
+        try:
+            package = packages[code]
+        except KeyError:
+            package = packages[code] = (
+                None if code.co_name in INLINED_IN_312 else package_of(code.co_filename)
+            )
+        if package is not None:
+            counts[package] += 1
+
+    return counts, hook
+
+
 def count_calls() -> Dict[str, int]:
-    """Run the scenario; calls per package over the measured ops, plus
-    ``total``."""
+    """Run the control scenario; calls per package over the measured ops,
+    plus ``total``."""
     reset_uid_counter()
     runtime = SimRuntime(seed=SEED)
     publisher, sink = Publisher(), Sink()
@@ -114,22 +167,7 @@ def count_calls() -> Dict[str, int]:
     rng.shuffle(kinds)
     kinds = [kinds[i % len(kinds)] for i in range(WARMUP)] + kinds
 
-    counts: Dict[str, int] = defaultdict(int)
-    packages: Dict[object, Optional[str]] = {}
-
-    def hook(frame, event, arg) -> None:
-        if event != "call":
-            return
-        code = frame.f_code
-        try:
-            package = packages[code]
-        except KeyError:
-            package = packages[code] = (
-                None if code.co_name in INLINED_IN_312 else package_of(code.co_filename)
-            )
-        if package is not None:
-            counts[package] += 1
-
+    counts, hook = _call_counter()
     results = []
     try:
         for op, kind in enumerate(kinds):
@@ -153,16 +191,59 @@ def count_calls() -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def test_calls_stay_within_budget():
-    budget = json.loads(BUDGET_FILE.read_text())
-    assert budget["tolerance"] == TOLERANCE
-    allowed = budget["calls"]
-    counts = count_calls()
-    over = {
+def count_file_calls() -> Dict[str, int]:
+    """Run the file scenario; calls per package from the first publish until
+    the transfers have settled, plus ``total``."""
+    reset_uid_counter()
+    runtime = SimRuntime(seed=SEED, default_link=LinkModel(loss=FILE_LOSS))
+    camera = Camera()
+    runtime.add_container("cam", **switches_off()).install_service(camera)
+    sinks = []
+    for i in range(FILE_RECEIVERS):
+        sink = PhotoSink(f"budget-rx{i}")
+        runtime.add_container(f"rx{i}", **switches_off()).install_service(sink)
+        sinks.append(sink)
+    runtime.start()
+    cam = runtime.container("cam").directory
+    assert runtime.run_until(
+        lambda: all(cam.address_of(f"rx{i}") is not None for i in range(FILE_RECEIVERS)),
+        timeout=30.0,
+    )
+    photos = [random.Random(SEED + i).randbytes(FILE_PHOTO_SIZE) for i in range(FILE_PHOTOS)]
+
+    counts, hook = _call_counter()
+    sys.setprofile(hook)
+    try:
+        for i, photo in enumerate(photos):
+            camera.ctx.publish_file(f"budget.photo.{i}", photo)
+        done = runtime.run_until(
+            lambda: all(len(s.photos) == FILE_PHOTOS for s in sinks), timeout=30.0
+        )
+        runtime.run_for(FILE_SETTLE)
+    finally:
+        sys.setprofile(None)
+    runtime.stop()
+
+    assert done
+    for sink in sinks:
+        assert sorted(sink.photos) == sorted(photos)
+    counts["total"] = sum(counts.values())
+    return dict(sorted(counts.items()))
+
+
+def _over_budget(counts: Dict[str, int], allowed: Dict[str, int]) -> Dict[str, tuple]:
+    return {
         package: (count, allowed.get(package, 0))
         for package, count in counts.items()
         if count > allowed.get(package, 0) * (1 + TOLERANCE)
     }
+
+
+def test_calls_stay_within_budget():
+    budget = json.loads(BUDGET_FILE.read_text())
+    assert budget["tolerance"] == TOLERANCE
+    allowed = budget["calls"]
+    over = _over_budget(count_calls(), allowed)
     assert not over, (
         f"calls over budget (count, budget): {over}; if the growth is "
         "deliberate, run `python -m tests.integration.test_call_budget --update`"
@@ -174,10 +255,25 @@ def test_count_repeats_exactly():
     assert count_calls() == count_calls()
 
 
+def test_file_calls_stay_within_budget():
+    budget = json.loads(BUDGET_FILE.read_text())
+    over = _over_budget(count_file_calls(), budget["file_calls"])
+    assert not over, (
+        f"file-path calls over budget (count, budget): {over}; if the growth "
+        "is deliberate, run `python -m tests.integration.test_call_budget "
+        "--update` and commit calls-budget.json"
+    )
+
+
+def test_file_count_repeats_exactly():
+    assert count_file_calls() == count_file_calls()
+
+
 def main(argv) -> int:
     counts = count_calls()
+    file_counts = count_file_calls()
     if "--update" not in argv:
-        print(json.dumps(counts, indent=2))
+        print(json.dumps({"calls": counts, "file_calls": file_counts}, indent=2))
         return 0
     BUDGET_FILE.write_text(
         json.dumps(
@@ -189,6 +285,13 @@ def main(argv) -> int:
                 ),
                 "tolerance": TOLERANCE,
                 "calls": counts,
+                "file_scenario": (
+                    f"seed {SEED}; 1 camera, {FILE_RECEIVERS} receivers, "
+                    f"{FILE_LOSS:g} link loss; {FILE_PHOTOS} photos of "
+                    f"{FILE_PHOTO_SIZE >> 10} KiB, from the first publish until "
+                    f"every receiver completed, then {FILE_SETTLE:g} s"
+                ),
+                "file_calls": file_counts,
             },
             indent=2,
         )
