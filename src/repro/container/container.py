@@ -95,12 +95,16 @@ class ServiceContainer:
         rng: Optional[SeededRng] = None,
     ):
         self._config = config
-        #: The container id (plain attribute: read on every frame).
+        # Plain attributes, not properties: the id is read on every frame,
+        # the clock and the application-data codec on every sample.
+        #: The container id.
         self.id = config.container_id
-        self._clock = clock
+        #: The time source shared with the runtime.
+        self.clock = clock
+        #: The application-data codec (PEPt Encoding plug-in).
+        self.codec = get_codec(config.codec)
         self._timers = timers
         self._transport = transport
-        self._codec = get_codec(config.codec)
         self._running = False
         self._incarnation = 0
         # Per-peer reliable-stream epoch: bumped whenever the peer's link
@@ -260,16 +264,8 @@ class ServiceContainer:
 
     # -- identity and plumbing accessors (PrimitiveHost protocol) -------------
     @property
-    def clock(self) -> Clock:
-        return self._clock
-
-    @property
     def timers(self):
         return self._timers
-
-    @property
-    def codec(self):
-        return self._codec
 
     @property
     def config(self) -> ContainerConfig:
@@ -693,7 +689,7 @@ class ServiceContainer:
         # Counters carry volume; the bounded recorder gets one entry per
         # (peer, reason) per second at most.
         key = f"{peer}:{reason}"
-        now = self._clock.now()
+        now = self.clock.now()
         if now - self._abuse_logged.get(key, -1.0) >= 1.0:
             self._abuse_logged[key] = now
             self.recorder.record("reliability-abuse", peer=peer, reason=reason)

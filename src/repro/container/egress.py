@@ -88,6 +88,14 @@ _NUM_BANDS = 5
 #: Admissible overflow policies for a bounded (destination, band) queue.
 OVERFLOW_POLICIES = ("block", "drop-oldest", "drop-newest")
 
+#: Gauges mirroring the batcher's tallies (see ``_collect_batch_stats``).
+_BATCH_GAUGES = (
+    "egress_batches",
+    "egress_batched_frames",
+    "egress_single_flushes",
+    "egress_piggybacked_acks",
+)
+
 SendFn = Callable[[Destination, Frame], None]
 #: Overflow callback: (destination, band, policy, affected frame).
 OverflowFn = Callable[[Destination, int, str, Frame], None]
@@ -179,6 +187,8 @@ class EgressShaper:
                 piggyback=piggyback,
                 zero_copy=zero_copy,
             )
+            if metrics is not None:
+                metrics.add_collector(_BATCH_GAUGES, self._collect_batch_stats)
         # Telemetry.
         self.shaped_frames = 0
         self.passthrough_frames = 0
@@ -241,9 +251,7 @@ class EgressShaper:
         the bucket is full and drive it negative, so the long-run rate
         stays exact and oversized frames still make progress.
         """
-        if self._batcher is not None:
-            self._note_batch_stats()
-        if not self.enabled:
+        if self._rate_bps is None:
             self.passthrough_frames += 1
             self._send(destination, frame)
             return
@@ -326,16 +334,20 @@ class EgressShaper:
         if self._on_overflow is not None:
             self._on_overflow(destination, band, policy, frame)
 
-    def _note_batch_stats(self) -> None:
-        """Mirror the batcher's tallies into the metrics registry (cheap:
-        counters are set-on-read gauges of monotonic ints)."""
-        if self._metrics is None or self._batcher is None:
-            return
+    def _collect_batch_stats(self, registry) -> None:
+        """Registry collector mirroring the batcher's tallies into gauges.
+
+        The gauges appear with the stage's first emission (a raw frame, an
+        oversize bypass or a batch), as they would if every emission set
+        them: the tallies only change on the way to an emission.
+        """
         b = self._batcher
-        self._metrics.gauge("egress_batches").set(b.batches_sent)
-        self._metrics.gauge("egress_batched_frames").set(b.batched_frames)
-        self._metrics.gauge("egress_single_flushes").set(b.single_flushes)
-        self._metrics.gauge("egress_piggybacked_acks").set(b.piggybacked_acks)
+        if not (b.batches_sent or b.single_flushes or b.oversize_bypasses):
+            return
+        registry.gauge("egress_batches").set(b.batches_sent)
+        registry.gauge("egress_batched_frames").set(b.batched_frames)
+        registry.gauge("egress_single_flushes").set(b.single_flushes)
+        registry.gauge("egress_piggybacked_acks").set(b.piggybacked_acks)
 
     def _frame_size(self, frame: Frame) -> int:
         # A zero-copy WireDatagram knows its wire size without joining its

@@ -8,7 +8,8 @@ them).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Protocol, runtime_checkable
+from functools import partial
+from typing import Any, Callable, Dict, Protocol, runtime_checkable
 
 from repro.encoding.types import DataType
 from repro.util.errors import ConfigurationError
@@ -16,7 +17,11 @@ from repro.util.errors import ConfigurationError
 
 @runtime_checkable
 class Codec(Protocol):
-    """Marshals typed values to/from wire bytes."""
+    """Marshals typed values to/from wire bytes.
+
+    The built-in codecs subclass it to inherit the default :meth:`decoder`;
+    a codec that does not must define ``decoder`` itself.
+    """
 
     #: registry key, e.g. ``"binary"``
     name: str
@@ -28,6 +33,11 @@ class Codec(Protocol):
     def decode(self, datatype: DataType, data: bytes) -> Any:
         """Unmarshal bytes produced by :meth:`encode` with the same type."""
         ...
+
+    def decoder(self, datatype: DataType) -> Callable[[bytes], Any]:
+        """A ``data -> value`` function equal to ``decode(datatype, data)``,
+        for callers that decode one type over and over to resolve once."""
+        return partial(self.decode, datatype)
 
 
 _REGISTRY: Dict[str, Codec] = {}

@@ -32,7 +32,7 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.encoding.binary import MAX_SEQUENCE_LENGTH
-from repro.encoding.codec import register_codec
+from repro.encoding.codec import Codec, register_codec
 from repro.encoding.types import (
     DataType,
     PrimitiveType,
@@ -541,6 +541,10 @@ def _trunc_err(wanted, got):
     return EncodingError(f"truncated payload: wanted {wanted} bytes, got {got}")
 
 
+def _trailing_err(count, desc):
+    return EncodingError(f"{count} trailing bytes after decoding {desc}")
+
+
 def _flat_value_expr(datatype: DataType, vals: str, index: int) -> Tuple[str, int]:
     """Expression rebuilding ``datatype`` from the scalar tuple ``vals``
     starting at ``index``; returns (source expression, next index)."""
@@ -594,6 +598,9 @@ class _SourceGen:
             "_MAX": MAX_SEQUENCE_LENGTH,
             "_seq_err": _seq_err,
             "_trunc_err": _trunc_err,
+            "_trailing_err": _trailing_err,
+            "_FAULTS": DECODE_FAULTS,
+            "_truncated": truncated,
             "_unpack_from": struct.unpack_from,
             "_pack": struct.pack,
             "_join": b"".join,
@@ -621,12 +628,14 @@ class _SourceGen:
 
 
 class _DecoderGen(_SourceGen):
-    """Emits ``_decode(buf, off) -> (value, off)`` over any buffer supporting
-    slicing and ``struct.unpack_from`` — ``bytes`` stays ``bytes`` (cheapest
-    slicing) and a ``memoryview`` input is sliced without copying."""
+    """Emits a decoder over any buffer supporting slicing and
+    ``struct.unpack_from`` — ``bytes`` stays ``bytes`` (cheapest slicing) and
+    a ``memoryview`` input is sliced without copying. The body reads from
+    ``off`` onwards and leaves ``off`` past the value; ``header`` opens the
+    function."""
 
-    def __init__(self):
-        super().__init__("def _decode(buf, off):")
+    def __init__(self, header: str):
+        super().__init__(header)
         self.w("buflen = len(buf)")
 
     def emit(self, datatype: DataType) -> str:
@@ -883,10 +892,29 @@ def _fixed_length_error(datatype: VectorType):
 
 
 def _generate_decoder(datatype: DataType) -> _Decoder:
-    gen = _DecoderGen()
+    gen = _DecoderGen("def _decode(buf, off):")
     value = gen.emit(datatype)
     gen.w(f"return {value}, off")
     return gen.build("_decode", datatype)
+
+
+def _generate_value_decoder(datatype: DataType) -> Callable[[Any], Any]:
+    """``_decode_value(buf) -> value``: the whole of :meth:`CompiledCodec.decode`
+    in one generated function — decode from offset 0, map
+    :data:`DECODE_FAULTS` with :func:`truncated`, reject trailing bytes."""
+    gen = _DecoderGen("def _decode_value(buf):")
+    gen.w("off = 0")
+    gen.w("try:")
+    gen.indent += 1
+    value = gen.emit(datatype)
+    gen.indent -= 1
+    gen.w("except _FAULTS as exc:")
+    gen.w("    raise _truncated(exc) from exc")
+    desc = gen.bind("desc", datatype.describe())
+    gen.w("if off != buflen:")
+    gen.w(f"    raise _trailing_err(buflen - off, {desc})")
+    gen.w(f"return {value}")
+    return gen.build("_decode_value", datatype)
 
 
 def _generate_encoder(datatype: DataType) -> Callable[[Any], bytes]:
@@ -907,18 +935,34 @@ def _wrap_closure_encoder(encoder: _Encoder) -> Callable[[Any], bytes]:
     return encode_value
 
 
-def _build_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
-    """(value → bytes encoder, (buf, offset) → (value, offset) decoder),
-    preferring generated source and falling back to the closure plans."""
+def _wrap_closure_decoder(decoder: _Decoder, desc: str) -> Callable[[Any], Any]:
+    def decode_value(buf, _dec=decoder):
+        try:
+            value, off = _dec(buf, 0)
+        except DECODE_FAULTS as exc:
+            raise truncated(exc) from exc
+        if off != len(buf):
+            raise _trailing_err(len(buf) - off, desc)
+        return value
+
+    return decode_value
+
+
+def _build_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder, Callable[[Any], Any]]:
+    """(value → bytes encoder, (buf, offset) → (value, offset) decoder,
+    buf → value whole-payload decoder), preferring generated source and
+    falling back to the closure plans."""
     try:
         encoder = _generate_encoder(datatype)
     except SyntaxError:  # pragma: no cover — codegen bug safety net
         encoder = _wrap_closure_encoder(_compile_encoder(datatype))
     try:
         decoder = _generate_decoder(datatype)
+        value_decoder = _generate_value_decoder(datatype)
     except SyntaxError:  # pragma: no cover — codegen bug safety net
         decoder = _compile_decoder(datatype)
-    return encoder, decoder
+        value_decoder = _wrap_closure_decoder(decoder, datatype.describe())
+    return encoder, decoder, value_decoder
 
 
 #: Hashing a DataType re-renders describe() recursively, so the hot lookup is
@@ -927,7 +971,7 @@ def _build_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
 #: reference to their datatype, so a live id() can never be recycled into a
 #: stale entry. Bounded so adversarial schema churn cannot grow them forever.
 _CACHE_LIMIT = 4096
-_PlanEntry = Tuple[DataType, Callable[[Any], bytes], _Decoder]
+_PlanEntry = Tuple[DataType, Callable[[Any], bytes], _Decoder, Callable[[Any], Any]]
 _BY_ID: Dict[int, _PlanEntry] = {}
 _BY_KEY: Dict[str, _PlanEntry] = {}
 
@@ -939,12 +983,11 @@ def _plan(datatype: DataType) -> _PlanEntry:
     key = datatype.describe()
     shared = _BY_KEY.get(key)
     if shared is None:
-        encoder, decoder = _build_plan(datatype)
-        shared = (datatype, encoder, decoder)
+        shared = (datatype, *_build_plan(datatype))
         if len(_BY_KEY) >= _CACHE_LIMIT:
             _BY_KEY.clear()
         _BY_KEY[key] = shared
-    entry = (datatype, shared[1], shared[2])
+    entry = (datatype, *shared[1:])
     if len(_BY_ID) >= _CACHE_LIMIT:
         _BY_ID.clear()
     _BY_ID[id(datatype)] = entry
@@ -961,15 +1004,15 @@ def compile_plan(datatype: DataType) -> Tuple[Callable[[Any], bytes], _Decoder]:
 # -- the codec -------------------------------------------------------------------
 
 
-class CompiledCodec:
+class CompiledCodec(Codec):
     """Drop-in :class:`Codec` producing ``BinaryCodec``-identical bytes from
     schema-compiled plans."""
 
     name = "compiled"
 
     def encode(self, datatype: DataType, value: Any) -> bytes:
-        # The identity-cache hit is inlined here and in _decode (they run
-        # once per payload); _plan handles misses.
+        # The identity-cache hit is inlined here and in the decode methods
+        # (they run once per payload); _plan handles misses.
         entry = _BY_ID.get(id(datatype))
         if entry is None or entry[0] is not datatype:
             entry = _plan(datatype)
@@ -987,33 +1030,29 @@ class CompiledCodec:
             raise
 
     def decode(self, datatype: DataType, data) -> Any:
-        value, consumed, total = self._decode(datatype, data)
-        if consumed != total:
-            raise EncodingError(
-                f"{total - consumed} trailing bytes after decoding "
-                f"{datatype.describe()}"
-            )
-        return value
+        entry = _BY_ID.get(id(datatype))
+        if entry is None or entry[0] is not datatype:
+            entry = _plan(datatype)
+        return entry[3](data)
+
+    def decoder(self, datatype: DataType) -> Callable[[Any], Any]:
+        """The generated whole-payload decoder of ``datatype``: one call,
+        no codec layer, the same value and errors as :meth:`decode`."""
+        return _plan(datatype)[3]
 
     def decode_prefix(self, datatype: DataType, data) -> Tuple[Any, int]:
-        """Decode one value off the front of ``data``; (value, consumed)."""
-        value, consumed, _ = self._decode(datatype, data)
-        return value, consumed
+        """Decode one value off the front of ``data``; (value, consumed).
 
-    def _decode(self, datatype: DataType, data) -> Tuple[Any, int, int]:
-        # The decoder slices whatever buffer it is given: ``bytes`` input is
-        # sliced as bytes (cheapest), a ``memoryview`` of a larger buffer is
-        # sliced without copying. Nothing goes through BytesIO.
+        The decoder slices whatever buffer it is given: ``bytes`` input is
+        sliced as bytes (cheapest), a ``memoryview`` of a larger buffer is
+        sliced without copying. Nothing goes through BytesIO."""
         entry = _BY_ID.get(id(datatype))
         if entry is None or entry[0] is not datatype:
             entry = _plan(datatype)
         try:
-            value, consumed = entry[2](data, 0)
-        except EncodingError:
-            raise
+            return entry[2](data, 0)
         except DECODE_FAULTS as exc:
             raise truncated(exc) from exc
-        return value, consumed, len(data)
 
 
 register_codec(CompiledCodec())

@@ -21,6 +21,7 @@ reproduced from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.encoding.schema import parse_type
@@ -28,7 +29,7 @@ from repro.encoding.types import DataType
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
 from repro.protocol.frames import Frame, MessageKind
-from repro.simnet.addressing import variable_group
+from repro.simnet.addressing import GroupName, variable_group
 from repro.util.errors import ConfigurationError
 
 OnSample = Callable[[Any, float], None]  # (value, publisher timestamp)
@@ -74,6 +75,11 @@ class VariablePublication:
     last_value: Any = None
     last_timestamp: float = 0.0
     published_samples: int = 0
+    #: The multicast group the samples travel on, built once.
+    group: GroupName = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.group = variable_group(self.name)
 
     def publish(self, value: Any) -> None:
         """Send one sample to every subscriber, local and remote."""
@@ -132,6 +138,7 @@ class VariableManager:
 
     def __init__(self, host: PrimitiveHost):
         self._host = host
+        self._clock = host.clock
         self._publications: Dict[str, VariablePublication] = {}
         self._subscriptions: Dict[str, List[VariableSubscription]] = {}
         self._timeout_timers: Dict[str, object] = {}
@@ -140,11 +147,11 @@ class VariableManager:
         # show up at high rates).
         self._publishes_counter = host.metrics.counter("var_publishes")
         self._deliveries_counter = host.metrics.counter("var_deliveries")
-        # (name, provider) -> resolved DataType for the rx path; valid only
-        # while the directory revision is unchanged and no local publication
-        # has been (re)provided or withdrawn since.
-        self._datatype_cache: Dict[tuple, DataType] = {}
-        self._datatype_cache_rev = -1
+        # (name, provider) -> value decoder of the resolved DataType for the
+        # rx path; valid only while the directory revision is unchanged and
+        # no local publication has been (re)provided or withdrawn since.
+        self._decoders: Dict[tuple, Callable[[bytes], Any]] = {}
+        self._decoders_rev = -1
 
     # -- publisher side -----------------------------------------------------
     def provide(
@@ -167,20 +174,20 @@ class VariableManager:
             _manager=self,
         )
         self._publications[name] = publication
-        self._datatype_cache.clear()
+        self._decoders.clear()
         self._host.announce_soon()
         return publication
 
     def withdraw(self, name: str) -> None:
         if self._publications.pop(name, None) is not None:
-            self._datatype_cache.clear()
+            self._decoders.clear()
             self._host.announce_soon()
 
     def withdraw_service(self, service: str) -> None:
         """Drop every publication owned by a stopped/failed service."""
         for name in [n for n, p in self._publications.items() if p.service == service]:
             del self._publications[name]
-        self._datatype_cache.clear()
+        self._decoders.clear()
         self._host.announce_soon()
 
     def offers(self) -> List[dict]:
@@ -196,9 +203,9 @@ class VariableManager:
         ]
 
     def _publish(self, publication: VariablePublication, value: Any) -> None:
-        tracer = self._host.tracer
-        now = self._host.clock.now()
-        sanitizer = self._host.payload_sanitizer
+        host = self._host
+        now = self._clock.now()
+        sanitizer = host.payload_sanitizer
         if sanitizer.enabled:
             # Aliasing guard: checkpoint the previous sample and (in freeze
             # mode) swap in a frozen copy for the cache and local delivery.
@@ -206,37 +213,43 @@ class VariableManager:
         publication.last_value = value
         publication.last_timestamp = now
         publication.published_samples += 1
-        self._publishes_counter.inc()
-        probes = self._host.probes
+        self._publishes_counter.value += 1
+        probes = host.probes
         if probes.enabled:
             probes.emit(
                 "var.publish", publication.name, attrs={"timestamp": now}
             )
+        tracer = host.tracer
+        span = context = previous = None
         if tracer.enabled:
             span = tracer.start_span(f"var:{publication.name}", "var.publish")
             context = tracer.context_of(span)
-        else:
-            span = context = None  # skip span-name formatting on the hot path
-        encoded_value = self._host.codec.encode(publication.datatype, value)
-        payload = wire.encode(
-            wire.VAR_SAMPLE_SCHEMA,
-            {"name": publication.name, "timestamp": now, "value": encoded_value},
-            trace=context,
-        )
-        with tracer.activate(context):
-            # Local subscribers: direct delivery, no network round trip.
-            for sub in self._subscriptions.get(publication.name, []):
-                self._deliver_local(sub, value, now)
-            # Remote subscribers: one multicast emission for all of them.
-            self._host.send_group(
-                variable_group(publication.name),
-                Frame(
-                    kind=MessageKind.VAR_SAMPLE,
-                    source=self._host.id,
-                    payload=payload,
-                ),
+            previous = tracer.current
+            # Active for the local deliveries and the send below.
+            tracer.current = context
+        try:
+            payload = wire.encode(
+                wire.VAR_SAMPLE_SCHEMA,
+                {
+                    "name": publication.name,
+                    "timestamp": now,
+                    "value": host.codec.encode(publication.datatype, value),
+                },
+                trace=context,
             )
-        tracer.finish(span)
+            # Local subscribers: direct delivery, no network round trip.
+            live = self._subscriptions.get(publication.name)
+            if live:
+                self._deliver(live, value, now)
+            # Remote subscribers: one multicast emission for all of them.
+            host.send_group(
+                publication.group,
+                Frame(MessageKind.VAR_SAMPLE, host.id, payload),
+            )
+        finally:
+            if span is not None:
+                tracer.current = previous
+                tracer.finish(span)
 
     # -- subscriber side ----------------------------------------------------
     def subscribe(
@@ -266,7 +279,7 @@ class VariableManager:
         local = self._publications.get(name)
         if local is not None and local.published_samples > 0:
             subscription.got_initial = True
-            self._deliver_local(subscription, local.last_value, local.last_timestamp)
+            self._deliver([subscription], local.last_value, local.last_timestamp)
         elif initial:
             self._request_initial(subscription)
         self._arm_timeout_watch(name)
@@ -332,55 +345,74 @@ class VariableManager:
     def _ingest(
         self, name: str, encoded: bytes, timestamp: float, provider: str, trace=None
     ) -> None:
+        """Decode a sample from ``provider`` and deliver it: the receive path
+        of live samples and of initial responses."""
         live = self._subscriptions.get(name)
         if not live:
             return
-        # Copy before delivering: an on_sample callback may unsubscribe.
-        subs = [s for s in live if s.active]
-        if not subs:
-            return
-        revision = self._host.directory.revision
-        if revision != self._datatype_cache_rev:
-            self._datatype_cache.clear()
-            self._datatype_cache_rev = revision
+        host = self._host
+        revision = host.directory.revision
+        if revision != self._decoders_rev:
+            self._decoders.clear()
+            self._decoders_rev = revision
         key = (name, provider)
-        datatype = self._datatype_cache.get(key)
-        if datatype is None:
+        decoder = self._decoders.get(key)
+        if decoder is None:
             datatype = self._datatype_of(name, provider)
             if datatype is None:
                 return  # no schema known yet; drop (best-effort semantics)
-            self._datatype_cache[key] = datatype
-        value = self._host.codec.decode(datatype, encoded)
-        tracer = self._host.tracer
+            decoder = self._decoders[key] = host.codec.decoder(datatype)
+        value = decoder(encoded)
+        tracer = host.tracer
         if not tracer.enabled:
             # Hot path at telemetry rates: no span bookkeeping at all.
-            for sub in subs:
-                if timestamp < sub.last_timestamp:
-                    continue  # stale sample overtaken by a newer one
-                self._deliver_local(sub, value, timestamp)
+            self._deliver(live, value, timestamp)
             return
         span = tracer.start_span(
             f"var:{name}", "var.deliver", parent=trace, provider=provider
         )
-        with tracer.activate(tracer.context_of(span)):
-            for sub in subs:
-                if timestamp < sub.last_timestamp:
-                    continue  # stale sample overtaken by a newer one
-                self._deliver_local(sub, value, timestamp)
-        tracer.finish(span)
+        previous = tracer.current
+        tracer.current = tracer.context_of(span)
+        try:
+            self._deliver(live, value, timestamp)
+        finally:
+            tracer.current = previous
+            tracer.finish(span)
 
-    def _deliver_local(self, sub: VariableSubscription, value: Any, timestamp: float) -> None:
-        sub.last_value = value
-        sub.last_timestamp = timestamp
-        sub.last_arrival = self._host.clock.now()
-        sub.received_samples += 1
-        sub.got_initial = True
-        self._deliveries_counter.inc()
-        probes = self._host.probes
-        if probes.enabled:
-            probes.emit("var.deliver", sub.name, attrs={"timestamp": timestamp})
-        if sub.on_sample is not None:
-            self._host.submit("variable", lambda: sub.on_sample(value, timestamp))
+    def _deliver(
+        self, live: List[VariableSubscription], value: Any, timestamp: float
+    ) -> None:
+        """The one delivery loop — live samples, initial responses, local
+        publishes and a local subscriber's initial value all pass through
+        it: hand a sample stamped ``timestamp`` to the active subscriptions
+        among ``live``.
+
+        The clock is read once per sample, so every subscriber records the
+        same arrival time. A subscriber already holding a newer sample skips
+        this one.
+        """
+        now = self._clock.now()
+        host = self._host
+        probes = host.probes
+        counter = self._deliveries_counter
+        # Iterate a copy: with an idle scheduler a callback runs inline, in
+        # this loop, and may cancel its own or another subscription; one
+        # cancelled before its turn is skipped.
+        for sub in tuple(live):
+            if not sub.active:
+                continue
+            if timestamp < sub.last_timestamp:
+                continue  # stale sample overtaken by a newer one
+            sub.last_value = value
+            sub.last_timestamp = timestamp
+            sub.last_arrival = now
+            sub.received_samples += 1
+            sub.got_initial = True
+            counter.value += 1
+            if probes.enabled:
+                probes.emit("var.deliver", sub.name, attrs={"timestamp": timestamp})
+            if sub.on_sample is not None:
+                host.submit("variable", partial(sub.on_sample, value, timestamp))
 
     def _latest(self, sub: VariableSubscription) -> Optional[Any]:
         if sub.last_arrival < 0:

@@ -14,8 +14,9 @@ Wire format of a ``BATCH`` payload::
     count x { uint32 length; length bytes = one complete encoded frame }
 
 Inner frames are ordinary frames (header included), so the receive side
-unbatches with :func:`Frame.decode` and feeds each inner frame through the
-normal dispatch path — primitives gain the win without any logic changes.
+unbatches with :func:`Frame.decode`, bounded to each entry's span of the
+payload, and feeds each inner frame through the normal dispatch path —
+primitives gain the win without any logic changes.
 Nested batches and fragments inside a batch are illegal; the decoder
 rejects them (a fragment is produced *below* the batching stage, a batch
 never nests by construction).
@@ -46,6 +47,8 @@ from repro.util.errors import EncodingError, ProtocolError
 
 _COUNT = struct.Struct("<H")
 _LEN = struct.Struct("<I")
+_unpack_count = _COUNT.unpack_from
+_unpack_len = _LEN.unpack_from
 
 #: Bytes one batch entry adds on top of the inner frame's own encoding.
 ENTRY_OVERHEAD = _LEN.size
@@ -77,35 +80,42 @@ def encode_batch_payload(encoded_frames: List[bytes]) -> bytes:
 def decode_batch_payload(payload: bytes) -> List[Frame]:
     """Unpack a BATCH payload into its inner frames.
 
-    Every malformation — truncated count, inner length overrunning the
+    Each inner frame is decoded in place with
+    ``Frame.decode(payload, start, stop)``; the entry is never sliced out
+    first. Every entry is validated before any frame is returned, so a
+    caller delivers all of a batch or none of it. Every malformation —
+    truncated count, truncated length prefix, inner length overrunning the
     payload, trailing garbage, zero frames, nested batch/fragment, or an
     inner frame that fails :func:`Frame.decode` — raises a clean
     :class:`EncodingError`, never a different exception and never a silent
     partial result.
     """
-    if len(payload) < _COUNT.size:
+    size = len(payload)
+    if size < _COUNT.size:
         raise EncodingError(
-            f"batch payload truncated inside header: {len(payload)} bytes"
+            f"batch payload truncated inside header: {size} bytes"
         )
-    (count,) = _COUNT.unpack_from(payload)
+    (count,) = _unpack_count(payload)
     if count == 0:
         raise EncodingError("zero-frame batch")
     frames: List[Frame] = []
     offset = _COUNT.size
+    decode = Frame.decode
     for index in range(count):
-        if len(payload) < offset + _LEN.size:
+        if size < offset + _LEN.size:
             raise EncodingError(
                 f"batch payload truncated in length prefix of frame {index}"
             )
-        (length,) = _LEN.unpack_from(payload, offset)
+        (length,) = _unpack_len(payload, offset)
         offset += _LEN.size
-        if len(payload) < offset + length:
+        stop = offset + length
+        if size < stop:
             raise EncodingError(
                 f"inner frame {index} overruns batch payload "
-                f"({length} bytes declared, {len(payload) - offset} left)"
+                f"({length} bytes declared, {size - offset} left)"
             )
         try:
-            frame = Frame.decode(payload[offset : offset + length])
+            frame = decode(payload, offset, stop)
         except ProtocolError as exc:
             raise EncodingError(f"inner frame {index} malformed: {exc}") from exc
         if frame.kind in _FORBIDDEN_INNER:
@@ -113,10 +123,10 @@ def decode_batch_payload(payload: bytes) -> List[Frame]:
                 f"inner frame {index} has illegal kind {frame.kind.name}"
             )
         frames.append(frame)
-        offset += length
-    if offset != len(payload):
+        offset = stop
+    if offset != size:
         raise EncodingError(
-            f"{len(payload) - offset} trailing bytes after batch frames"
+            f"{size - offset} trailing bytes after batch frames"
         )
     return frames
 
@@ -171,7 +181,7 @@ class WireDatagram:
         self.seq = 0
         self.flags = 0
         self.views = views
-        self.wire_size = sum(len(v) for v in views)
+        self.wire_size = sum(map(len, views))
         self.frame_count = frame_count
 
     def encode(self) -> bytes:
@@ -316,7 +326,10 @@ class FrameBatcher:
         batch.frames.append(frame)
         batch.encoded.append(raw)
         batch.size += entry
-        self._arm_flush()
+        if self._flush_timer is None:
+            self._flush_timer = self._timers.schedule(
+                self._flush_interval, self._on_flush_timer
+            )
 
     # -- flushing ------------------------------------------------------------
     def flush(self) -> None:
@@ -327,12 +340,6 @@ class FrameBatcher:
         if self._flush_timer is not None and hasattr(self._flush_timer, "cancel"):
             self._flush_timer.cancel()
         self._flush_timer = None
-
-    def _arm_flush(self) -> None:
-        if self._flush_timer is None:
-            self._flush_timer = self._timers.schedule(
-                self._flush_interval, self._on_flush_timer
-            )
 
     def _on_flush_timer(self) -> None:
         self._flush_timer = None

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.util.errors import ProtocolError
 
@@ -35,7 +36,8 @@ _PREFIX_SIZE = _HEADER_SRC.size
 _unpack_prefix = _HEADER_SRC.unpack_from
 
 #: Source ids are container ids — a handful of distinct strings per process —
-#: so their UTF-8 encodings are cached instead of re-encoded per frame.
+#: so their UTF-8 encodings are cached instead of re-encoded per frame. The
+#: encoders read a hit inline and call :func:`_encode_source` on a miss.
 _SRC_CACHE: dict = {}
 
 
@@ -122,7 +124,7 @@ class Frame:
     MAX_SOURCE_LEN = 255
 
     def encode(self) -> bytes:
-        src = _encode_source(self.source)
+        src = _SRC_CACHE.get(self.source) or _encode_source(self.source)
         if len(src) > self.MAX_SOURCE_LEN:
             raise ProtocolError(f"source id too long: {self.source!r}")
         return (
@@ -147,7 +149,7 @@ class Frame:
         the wire without ever materializing the contiguous datagram.
         ``b"".join(encode_views())`` equals :meth:`encode` by construction.
         """
-        src = _encode_source(self.source)
+        src = _SRC_CACHE.get(self.source) or _encode_source(self.source)
         if len(src) > self.MAX_SOURCE_LEN:
             raise ProtocolError(f"source id too long: {self.source!r}")
         prefix = (
@@ -167,11 +169,17 @@ class Frame:
         return [prefix]
 
     @classmethod
-    def decode(cls, data: bytes) -> "Frame":
-        size = len(data)
+    def decode(cls, data: bytes, start: int = 0, stop: Optional[int] = None) -> "Frame":
+        """Decode the frame held in ``data[start:stop]`` (all of ``data`` by
+        default) without slicing the span out first: a batch decodes each
+        inner frame in place, and only the source id and the payload are
+        copied out. Every error reads as it would for the sliced span."""
+        if stop is None:
+            stop = len(data)
+        size = stop - start
         if size < _PREFIX_SIZE:
             raise ProtocolError(f"frame too short: {size} bytes")
-        magic, version, kind, flags, channel, seq, src_len = _unpack_prefix(data)
+        magic, version, kind, flags, channel, seq, src_len = _unpack_prefix(data, start)
         if magic != MAGIC:
             raise ProtocolError(f"bad magic {magic!r}")
         if version != VERSION:
@@ -179,12 +187,12 @@ class Frame:
         kind_enum = _KIND_BY_VALUE.get(kind)
         if kind_enum is None:
             raise ProtocolError(f"unknown message kind {kind}")
-        end = _PREFIX_SIZE + src_len
-        if size < end:
+        end = start + _PREFIX_SIZE + src_len
+        if stop < end:
             raise ProtocolError("frame truncated inside source id")
-        source = data[_PREFIX_SIZE:end].decode("utf-8")
+        source = data[start + _PREFIX_SIZE:end].decode("utf-8")
         # Positional, in field order: keyword binding costs more per frame.
-        return cls(kind_enum, source, data[end:], channel, seq, flags, version)
+        return cls(kind_enum, source, data[end:stop], channel, seq, flags, version)
 
     @property
     def header_size(self) -> int:

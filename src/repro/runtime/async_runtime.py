@@ -82,10 +82,10 @@ class LoopDomain:
         self._loop_thread_ident: Optional[int] = None
         self._errors: List[Exception] = []
         loop.set_exception_handler(self._on_loop_exception)
-
-    # -- Clock protocol ----------------------------------------------------
-    def now(self) -> float:
-        return time.monotonic()
+        #: The Clock protocol: the loop's own clock, bound directly so a
+        #: reading costs no Python call (every frame sent or received and
+        #: every delivery reads it).
+        self.now: Callable[[], float] = time.monotonic
 
     # -- timer service -----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]):
@@ -236,6 +236,26 @@ class AsyncRuntime:
         self._thread.join(timeout=5.0)
         if self.lock_recorder is not None:
             self.lock_recorder.report_into(self.recorder, self.metrics)
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """One fleet-wide metrics dict, shaped as
+        :meth:`SimRuntime.metrics_snapshot <repro.runtime.simruntime.SimRuntime.metrics_snapshot>`:
+        every container's registry merged under a ``container=<id>`` label,
+        plus the runtime's own metrics. Read inside the serialization
+        domain while the loop runs."""
+
+        def collect() -> Dict[str, object]:
+            merged = MetricsRegistry()
+            merged.absorb(self.metrics)
+            for container_id in sorted(self.containers):
+                merged.absorb(
+                    self.containers[container_id].metrics, container=container_id
+                )
+            return merged.snapshot()
+
+        if self._stopped:
+            return collect()
+        return self.reactor.call_blocking(collect)
 
     def lock_inversions(self) -> list:
         """Lock-order inversions observed so far (empty without sanitizer)."""

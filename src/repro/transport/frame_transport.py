@@ -86,7 +86,8 @@ class FrameTransport:
     def send(self, destination: Destination, frame: Frame) -> None:
         if self._send_buffers is not None:
             views = frame.encode_views()
-            total = sum(len(v) for v in views)
+            # A zero-copy batch datagram knows its size.
+            total = getattr(frame, "wire_size", None) or sum(map(len, views))
             if total <= self._raw.mtu:
                 self._send_buffers(destination, views)
                 return

@@ -38,7 +38,9 @@ class RegistryView:
 
     Send paths hold a reference to one view for the duration of a send;
     concurrent mutations publish a *new* view and never touch this one, so
-    no lock is needed on the read side.
+    no lock is needed on the read side. ``sockaddr_to_node`` maps a socket
+    address to the prebuilt :class:`Address` of the node bound there, so a
+    receive path hands it on without building one per datagram.
     """
 
     __slots__ = ("node_to_sockaddr", "sockaddr_to_node", "groups")
@@ -46,7 +48,7 @@ class RegistryView:
     def __init__(
         self,
         node_to_sockaddr: Dict[Tuple[str, int], Tuple[str, int]],
-        sockaddr_to_node: Dict[Tuple[str, int], Tuple[str, int]],
+        sockaddr_to_node: Dict[Tuple[str, int], Address],
         groups: Dict[GroupName, Tuple[_Member, ...]],
     ):
         self.node_to_sockaddr = node_to_sockaddr
@@ -71,7 +73,7 @@ class UdpNetwork:
             lock = lock_recorder.wrap(lock, "udpnetwork.registry")
         self._lock = lock
         self._node_to_sockaddr: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        self._sockaddr_to_node: Dict[Tuple[str, int], Tuple[str, int]] = {}
+        self._sockaddr_to_node: Dict[Tuple[str, int], Address] = {}
         self._group_members: Dict[GroupName, Set[Tuple[str, int]]] = {}
         self._next_port_offset = 0
         #: The current immutable snapshot; republished on every mutation.
@@ -114,7 +116,7 @@ class UdpNetwork:
     def _register(self, node: str, port: int, sockaddr: Tuple[str, int]) -> None:
         with self._lock:
             self._node_to_sockaddr[(node, port)] = sockaddr
-            self._sockaddr_to_node[sockaddr] = (node, port)
+            self._sockaddr_to_node[sockaddr] = Address(node, port)
             self._rebuild_view()
 
     def _unregister(self, node: str, port: int) -> None:
@@ -128,10 +130,7 @@ class UdpNetwork:
         return self.view.node_to_sockaddr.get((address.node, address.port))
 
     def _source_of(self, sockaddr: Tuple[str, int]) -> Optional[Address]:
-        entry = self.view.sockaddr_to_node.get(sockaddr)
-        if entry is None:
-            return None
-        return Address(entry[0], entry[1])
+        return self.view.sockaddr_to_node.get(sockaddr)
 
     def _join(self, node: str, port: int, group: GroupName) -> None:
         with self._lock:

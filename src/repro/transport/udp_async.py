@@ -154,8 +154,7 @@ class AsyncUdpTransport:
         """Queue one datagram given as an unjoined buffer list."""
         if self._socket is None:
             raise TransportError("transport not open")
-        total = sum(len(v) for v in views)
-        if total > UDP_MTU:
+        if sum(map(len, views)) > UDP_MTU:
             raise TransportError(f"payload exceeds UDP MTU {UDP_MTU}")
         view = self._network.view  # one atomic read; no lock on the send path
         egress = self._egress
@@ -245,14 +244,11 @@ class AsyncUdpTransport:
             except OSError:
                 return  # socket closed underneath us
             self.recv_datagrams += 1
-            entry = network_view.sockaddr_to_node.get(sockaddr)
-            source = (
-                Address(entry[0], entry[1])
-                if entry is not None
-                else _UNKNOWN_SOURCE
-            )
             if receiver is not None:
-                receiver(payload, source)
+                receiver(
+                    payload,
+                    network_view.sockaddr_to_node.get(sockaddr, _UNKNOWN_SOURCE),
+                )
         # Anything still queued re-triggers the (level-triggered) selector
         # on the next loop pass, so timers never starve behind a flood.
 

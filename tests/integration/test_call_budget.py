@@ -1,7 +1,7 @@
-"""Deterministic call-count budgets of the control path and the file path.
+"""Deterministic call-count budgets of the control, file and batched paths.
 
-Counts the Python calls into ``src/repro`` code, by package, over two small
-seeded ``SimRuntime`` scenarios:
+Counts the Python calls into ``src/repro`` code, by package, over three
+small seeded ``SimRuntime`` scenarios:
 
 - control: one publisher, one subscriber and one server container; 30
   warm-up ops, then 100 variable samples, 100 acknowledged events and 100
@@ -9,7 +9,12 @@ seeded ``SimRuntime`` scenarios:
 - file: a camera container multicasts two 64 KiB photos to three receiver
   containers over links that drop 2% of packets; counted from the first
   publish until every receiver holds both photos and the completion ACKs
-  have settled.
+  have settled;
+- batched: the plane of the ``telemetry_async`` benchmark (datagram
+  batching, ACK coalescing at 2 ms / 64 frames, compiled codec) with one
+  publisher and two subscriber containers; after 5 warm-up windows, 40
+  windows of 10 ms each carry 10 variable samples and one acknowledged
+  event.
 
 In virtual time the counts repeat exactly for a seed, so they can be gated
 where wall time cannot.
@@ -58,6 +63,20 @@ FILE_PHOTOS = 2
 FILE_PHOTO_SIZE = 64 << 10
 FILE_LOSS = 0.02
 FILE_SETTLE = 0.1
+
+#: The batched plane of the ``telemetry_async`` benchmark.
+BATCHED_PLANE = {
+    "codec": "compiled",
+    "batching_enabled": True,
+    "ack_coalesce_delay": 0.002,
+    "ack_coalesce_max_pending": 64,
+}
+BATCHED_SUBSCRIBERS = 2
+BATCHED_WARMUP = 5
+BATCHED_WINDOWS = 40
+BATCHED_SAMPLES = 10
+BATCHED_WINDOW = 0.01
+BATCHED_SETTLE = 0.1
 
 SRC_MARK = "/src/repro/"
 INLINED_IN_312 = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -231,6 +250,51 @@ def count_file_calls() -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
+def count_batched_calls() -> Dict[str, int]:
+    """Run the batched scenario; calls per package over the measured
+    windows and the settle time after them, plus ``total``."""
+    reset_uid_counter()
+    runtime = SimRuntime(seed=SEED)
+    config = {**switches_off(), **BATCHED_PLANE}
+    publisher = Publisher()
+    runtime.add_container("pub", **config).install_service(publisher)
+    sinks = []
+    for i in range(BATCHED_SUBSCRIBERS):
+        sink = Sink()
+        runtime.add_container(f"sub{i}", **config).install_service(sink)
+        sinks.append(sink)
+    runtime.start()
+    assert runtime.run_until(
+        lambda: hasattr(publisher, "event")
+        and len(publisher.event.subscribers) == BATCHED_SUBSCRIBERS
+        and all(
+            runtime.container(f"sub{i}").directory.providers_of_variable(VAR)
+            for i in range(BATCHED_SUBSCRIBERS)
+        ),
+        timeout=30.0,
+    )
+
+    counts, hook = _call_counter()
+    windows = BATCHED_WARMUP + BATCHED_WINDOWS
+    try:
+        for window in range(windows):
+            if window == BATCHED_WARMUP:
+                sys.setprofile(hook)
+            for i in range(BATCHED_SAMPLES):
+                publisher.var.publish(float(window * BATCHED_SAMPLES + i))
+            publisher.event.raise_event({"seq": window, "value": float(window)})
+            runtime.run_for(BATCHED_WINDOW)
+        runtime.run_for(BATCHED_SETTLE)
+    finally:
+        sys.setprofile(None)
+    runtime.stop()
+
+    for sink in sinks:
+        assert sink.received == windows * (BATCHED_SAMPLES + 1)
+    counts["total"] = sum(counts.values())
+    return dict(sorted(counts.items()))
+
+
 def _over_budget(counts: Dict[str, int], allowed: Dict[str, int]) -> Dict[str, tuple]:
     return {
         package: (count, allowed.get(package, 0))
@@ -269,11 +333,35 @@ def test_file_count_repeats_exactly():
     assert count_file_calls() == count_file_calls()
 
 
+def test_batched_calls_stay_within_budget():
+    budget = json.loads(BUDGET_FILE.read_text())
+    over = _over_budget(count_batched_calls(), budget["batched_calls"])
+    assert not over, (
+        f"batched-path calls over budget (count, budget): {over}; if the "
+        "growth is deliberate, run `python -m tests.integration."
+        "test_call_budget --update` and commit calls-budget.json"
+    )
+
+
+def test_batched_count_repeats_exactly():
+    assert count_batched_calls() == count_batched_calls()
+
+
 def main(argv) -> int:
     counts = count_calls()
     file_counts = count_file_calls()
+    batched_counts = count_batched_calls()
     if "--update" not in argv:
-        print(json.dumps({"calls": counts, "file_calls": file_counts}, indent=2))
+        print(
+            json.dumps(
+                {
+                    "calls": counts,
+                    "file_calls": file_counts,
+                    "batched_calls": batched_counts,
+                },
+                indent=2,
+            )
+        )
         return 0
     BUDGET_FILE.write_text(
         json.dumps(
@@ -292,6 +380,17 @@ def main(argv) -> int:
                     f"every receiver completed, then {FILE_SETTLE:g} s"
                 ),
                 "file_calls": file_counts,
+                "batched_scenario": (
+                    f"seed {SEED}; 1 publisher, {BATCHED_SUBSCRIBERS} subscribers; "
+                    "batching, ACK coalescing at "
+                    f"{BATCHED_PLANE['ack_coalesce_delay'] * 1e3:g} ms / "
+                    f"{BATCHED_PLANE['ack_coalesce_max_pending']}, compiled codec; "
+                    f"{BATCHED_WARMUP} warm-up windows, then {BATCHED_WINDOWS} "
+                    f"windows of {BATCHED_WINDOW * 1e3:g} ms, each with "
+                    f"{BATCHED_SAMPLES} variable samples and one event, then "
+                    f"{BATCHED_SETTLE:g} s"
+                ),
+                "batched_calls": batched_counts,
             },
             indent=2,
         )
