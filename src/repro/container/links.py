@@ -11,6 +11,7 @@ retransmission timers through whatever timer service the runtime provides.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.protocol.frames import Frame, MessageKind
@@ -27,6 +28,11 @@ from repro.util.clock import Clock
 RELIABLE_CHANNEL = 1
 #: Channel carrying the TCP-modelled stream (experiment E5 only).
 TCP_CHANNEL = 2
+
+# Tested on every reliable frame: module constants, not enum attribute
+# lookups.
+_ACK = MessageKind.ACK
+_NACK = MessageKind.NACK
 
 SendToPeer = Callable[[str, Frame], None]  # (destination container, frame)
 DeliverFrame = Callable[[Frame], None]  # reliable frame ready for dispatch
@@ -69,6 +75,9 @@ class ReliableLinks:
         self._senders: Dict[str, ReliableSender] = {}
         self._receivers: Dict[str, ReliableReceiver] = {}
         self._timer_handles: Dict[str, object] = {}
+        #: The retransmit-timer callback of each peer's sender, built once
+        #: with the sender instead of once per arming.
+        self._fires: Dict[str, Callable[[], None]] = {}
 
     @property
     def hardening(self) -> Optional[ReliabilityHardening]:
@@ -86,7 +95,9 @@ class ReliableLinks:
     # -- sending ---------------------------------------------------------------
     def send(self, peer: str, kind: MessageKind, payload: bytes) -> int:
         """Reliably send ``payload`` to ``peer``; returns the stream seq."""
-        sender = self._sender_for(peer)
+        sender = self._senders.get(peer)
+        if sender is None:
+            sender = self._sender_for(peer)
         seq = sender.send(kind, payload)
         self._arm_timer(peer, sender)
         return seq
@@ -113,21 +124,26 @@ class ReliableLinks:
         """
         if frame.channel != RELIABLE_CHANNEL:
             return False
-        if frame.kind == MessageKind.ACK:
-            sender = self._senders.get(frame.source)
+        kind = frame.kind
+        source = frame.source
+        if kind == _ACK:
+            sender = self._senders.get(source)
             if sender is not None:
                 sender.on_ack_frame(frame)
-                self._arm_timer(frame.source, sender)
+                self._arm_timer(source, sender)
             return True
-        if frame.kind == MessageKind.NACK:
+        if kind == _NACK:
             # A NACK names *our* stream to the peer: it is an explicit
             # retransmit request, handled by the send side.
-            sender = self._senders.get(frame.source)
+            sender = self._senders.get(source)
             if sender is not None:
                 sender.on_nack_frame(frame)
-                self._arm_timer(frame.source, sender)
+                self._arm_timer(source, sender)
             return True
-        self._receiver_for(frame.source).on_frame(frame)
+        receiver = self._receivers.get(source)
+        if receiver is None:
+            receiver = self._receiver_for(source)
+        receiver.on_frame(frame)
         return True
 
     # -- peer lifecycle -----------------------------------------------------------
@@ -138,6 +154,7 @@ class ReliableLinks:
         owners (event queues, pending calls) can react.
         """
         sender = self._senders.pop(peer, None)
+        self._fires.pop(peer, None)
         receiver = self._receivers.pop(peer, None)
         if receiver is not None:
             receiver._cancel_ack_timer()
@@ -161,7 +178,7 @@ class ReliableLinks:
                 clock=self._clock,
                 source=self._local,
                 channel=RELIABLE_CHANNEL,
-                emit=lambda frame, p=peer: self._send_to_peer(p, frame),
+                emit=partial(self._send_to_peer, peer),
                 on_failure=lambda seq, frame, p=peer: self._peer_failed(p, frame),
                 policy=self._policy,
                 on_overflow=lambda frame, p=peer: self._peer_slow(p, frame),
@@ -169,6 +186,7 @@ class ReliableLinks:
                 on_abuse=lambda reason, p=peer: self._peer_abuse(p, reason),
             )
             self._senders[peer] = sender
+            self._fires[peer] = partial(self._fire, peer, sender)
         return sender
 
     def _receiver_for(self, peer: str) -> ReliableReceiver:
@@ -177,7 +195,7 @@ class ReliableLinks:
             receiver = ReliableReceiver(
                 source=peer,
                 channel=RELIABLE_CHANNEL,
-                emit_ack=lambda ack, p=peer: self._send_to_peer(p, ack),
+                emit_ack=partial(self._send_to_peer, peer),
                 deliver=self._deliver,
                 ordered=True,
                 ack_source=self._local,
@@ -204,20 +222,28 @@ class ReliableLinks:
             self._on_peer_slow(peer, frame)
 
     def _arm_timer(self, peer: str, sender: ReliableSender) -> None:
-        handle = self._timer_handles.get(peer)
+        """Re-arm ``peer``'s retransmit timer for the sender's earliest
+        deadline. Always eager: the old timer is cancelled and a new one
+        scheduled, even for an unchanged deadline, so timers due at the same
+        instant fire in the order they were last armed."""
+        handles = self._timer_handles
+        handle = handles.get(peer)
         if handle is not None and hasattr(handle, "cancel"):
             handle.cancel()
         wakeup = sender.next_wakeup()
         if wakeup is None:
-            self._timer_handles.pop(peer, None)
+            handles.pop(peer, None)
             return
         delay = max(0.0, wakeup - self._clock.now())
+        fire = self._fires.get(peer)
+        if fire is None or fire.args[1] is not sender:
+            # A sender dropped by reset_peer whose old timer fired anyway.
+            fire = partial(self._fire, peer, sender)
+        handles[peer] = self._timers.schedule(delay, fire)
 
-        def fire():
-            sender.poll()
-            self._arm_timer(peer, sender)
-
-        self._timer_handles[peer] = self._timers.schedule(delay, fire)
+    def _fire(self, peer: str, sender: ReliableSender) -> None:
+        sender.poll()
+        self._arm_timer(peer, sender)
 
 
 class TcpLinks:

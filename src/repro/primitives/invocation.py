@@ -21,8 +21,9 @@ fully abstracted by the middleware:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.encoding.schema import parse_type
 from repro.encoding.types import DataType, StructType
 from repro.primitives import wire
 from repro.primitives.host import PrimitiveHost
@@ -48,9 +49,19 @@ def _args_schema(name: str, params: Sequence[DataType]) -> Optional[StructType]:
     )
 
 
+def _arg_names(count: int) -> Tuple[str, ...]:
+    """The argument struct's field names, in parameter order."""
+    return tuple(f"p{i}" for i in range(count))
+
+
 @dataclass
 class FunctionProvision:
-    """Server-side registration of one callable function."""
+    """Server-side registration of one callable function.
+
+    The argument struct is built once, from ``params`` as they are at
+    construction; :class:`InvocationManager` also gives each provision the
+    struct's decoder, so serving a call builds no schema.
+    """
 
     name: str
     params: List[DataType]
@@ -58,10 +69,28 @@ class FunctionProvision:
     fn: Callable[..., Any]
     service: str
     calls_served: int = 0
+    #: The struct carrying the arguments (None for a zero-argument function).
+    args_schema: Optional[StructType] = field(init=False, repr=False, compare=False)
+    arg_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: ``bytes -> argument dict`` for :attr:`args_schema`, from the serving
+    #: container's codec (None for a zero-argument function).
+    args_decoder: Optional[Callable[[bytes], dict]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    @property
-    def args_schema(self) -> Optional[StructType]:
-        return _args_schema(self.name, self.params)
+    def __post_init__(self) -> None:
+        self.args_schema = _args_schema(self.name, self.params)
+        self.arg_names = _arg_names(len(self.params))
+
+
+class _CallPlan(NamedTuple):
+    """What calling one function on one provider needs, resolved from the
+    provider's directory offer once instead of on every call."""
+
+    arity: int
+    #: The argument struct (None for a zero-argument function).
+    args_schema: Optional[StructType]
+    arg_names: Tuple[str, ...]
 
 
 @dataclass
@@ -98,6 +127,23 @@ class InvocationManager:
         self._calls: Dict[str, CallHandle] = {}
         self._rr_counters: Dict[str, int] = {}
         self._static_bindings: Dict[str, str] = {}  # function -> container
+        # Per (function, provider): the argument plan and the result decoder
+        # resolved from the provider's offer. Offers only change through the
+        # directory, whose revision bumps on every change, so both caches
+        # hold while the revision is unchanged.
+        self._call_plans: Dict[Tuple[str, str], _CallPlan] = {}
+        self._result_decoders: Dict[Tuple[str, str], Optional[Callable[[bytes], Any]]] = {}
+        self._plans_rev = -1
+        # (function, parameter declarations) -> plan, kept across revisions:
+        # every announce bumps the revision, and a rebuilt plan would hand
+        # the codec a new argument struct to compile and cache.
+        self._plans_by_signature: Dict[Tuple[str, Tuple[str, ...]], _CallPlan] = {}
+        # The hot rpc_* instruments, resolved on first use: creating them
+        # up front would add zero-valued entries to every snapshot.
+        self._calls_counter = None
+        self._served_counter = None
+        self._completed_counter = None
+        self._latency_histogram = None
 
     # -- server side ----------------------------------------------------------
     def provide(
@@ -117,6 +163,8 @@ class InvocationManager:
             fn=fn,
             service=service,
         )
+        if provision.args_schema is not None:
+            provision.args_decoder = self._host.codec.decoder(provision.args_schema)
         self._provisions[name] = provision
         self._host.announce_soon()
         return provision
@@ -169,18 +217,23 @@ class InvocationManager:
     ) -> CallHandle:
         """Invoke ``function`` wherever it lives. Completion is reported via
         callbacks; the returned handle tracks progress."""
-        timeout = timeout if timeout is not None else self._host.config.call_timeout
+        host = self._host
+        timeout = timeout if timeout is not None else host.config.call_timeout
+        now = host.clock.now()
         handle = CallHandle(
             call_id=make_uid("call"),
             function=function,
             args=tuple(args),
             on_result=on_result,
             on_error=on_error,
-            deadline=self._host.clock.now() + timeout,
-            binding=binding or self._host.config.call_binding,
-            issued_at=self._host.clock.now(),
+            deadline=now + timeout,
+            binding=binding or host.config.call_binding,
+            issued_at=now,
         )
-        self._host.metrics.counter("rpc_calls").inc()
+        counter = self._calls_counter
+        if counter is None:
+            counter = self._calls_counter = host.metrics.counter("rpc_calls")
+        counter.value += 1
         probes = self._host.probes
         if probes.enabled:
             probes.emit(
@@ -228,7 +281,10 @@ class InvocationManager:
 
         def execute():
             provision.calls_served += 1
-            self._host.metrics.counter("rpc_served").inc()
+            counter = self._served_counter
+            if counter is None:
+                counter = self._served_counter = self._host.metrics.counter("rpc_served")
+            counter.value += 1
             try:
                 result = provision.fn(*args)
                 encoded = b""
@@ -251,9 +307,14 @@ class InvocationManager:
             self._finish_error(handle, InvocationError(handle.function, doc["error"]))
             return
         result = None
-        provision_type = self._result_type_of(handle.function, frame.source)
-        if provision_type is not None and doc["result"]:
-            result = self._host.codec.decode(provision_type, doc["result"])
+        local = self._provisions.get(handle.function)
+        if local is not None:
+            if local.result is not None and doc["result"]:
+                result = self._host.codec.decode(local.result, doc["result"])
+        else:
+            decode = self._result_decoder(handle.function, frame.source)
+            if decode is not None and doc["result"]:
+                result = decode(doc["result"])
         self._finish_ok(handle, result)
 
     # -- internals -----------------------------------------------------------
@@ -284,10 +345,8 @@ class InvocationManager:
             self._finish_error(handle, NameResolutionError(message))
             return
         handle.provider = provider
-        record = self._host.directory.record(provider)
-        offer = record.functions.get(handle.function) if record else None
         try:
-            encoded_args = self._encode_args(handle.function, offer, handle.args)
+            encoded_args = self._encode_args(handle.function, provider, handle.args)
         except Exception as exc:  # noqa: BLE001
             self._finish_error(handle, InvocationError(handle.function, f"bad arguments: {exc}"))
             return
@@ -363,10 +422,13 @@ class InvocationManager:
         handle.result = result
         self._cancel_timer(handle)
         self._calls.pop(handle.call_id, None)
-        self._host.metrics.counter("rpc_completed").inc()
-        self._host.metrics.histogram("rpc_latency").observe(
-            self._host.clock.now() - handle.issued_at
-        )
+        completed = self._completed_counter
+        if completed is None:
+            metrics = self._host.metrics
+            completed = self._completed_counter = metrics.counter("rpc_completed")
+            self._latency_histogram = metrics.histogram("rpc_latency")
+        completed.value += 1
+        self._latency_histogram.observe(self._host.clock.now() - handle.issued_at)
         probes = self._host.probes
         if probes.enabled:
             probes.emit(
@@ -421,40 +483,65 @@ class InvocationManager:
         self._host.send_reliable(caller, MessageKind.RPC_RESPONSE, payload)
 
     def _decode_args(self, provision: FunctionProvision, encoded: bytes) -> tuple:
-        schema = provision.args_schema
-        if schema is None:
+        if provision.args_schema is None:
             return ()
-        doc = self._host.codec.decode(schema, encoded)
-        return tuple(doc[f"p{i}"] for i in range(len(provision.params)))
+        doc = provision.args_decoder(encoded)
+        return tuple(map(doc.__getitem__, provision.arg_names))
 
-    def _encode_args(self, function: str, offer: Optional[dict], args: tuple) -> bytes:
-        from repro.encoding.schema import parse_type
+    def _encode_args(self, function: str, provider: str, args: tuple) -> bytes:
+        plan = self._call_plan(function, provider)
+        if plan.arity != len(args):
+            raise InvocationError(
+                function, f"expected {plan.arity} arguments, got {len(args)}"
+            )
+        if plan.args_schema is None:
+            return b""
+        return self._host.codec.encode(plan.args_schema, dict(zip(plan.arg_names, args)))
 
+    def _offer(self, function: str, provider: str) -> Optional[dict]:
+        """``provider``'s directory offer of ``function`` (None if unknown).
+        Also drops the resolved plans when the directory has changed."""
+        directory = self._host.directory
+        if directory.revision != self._plans_rev:
+            self._call_plans.clear()
+            self._result_decoders.clear()
+            self._plans_rev = directory.revision
+        record = directory.record(provider)
+        return record.functions.get(function) if record else None
+
+    def _call_plan(self, function: str, provider: str) -> _CallPlan:
+        if self._host.directory.revision == self._plans_rev:
+            plan = self._call_plans.get((function, provider))
+            if plan is not None:
+                return plan
+        offer = self._offer(function, provider)
         if offer is None:
             raise InvocationError(function, "provider offer unknown")
-        params = [parse_type(p) for p in offer["params"]]
-        if len(params) != len(args):
-            raise InvocationError(
-                function, f"expected {len(params)} arguments, got {len(args)}"
+        signature = (function, tuple(offer["params"]))
+        plan = self._plans_by_signature.get(signature)
+        if plan is None:
+            params = [parse_type(p) for p in signature[1]]
+            plan = _CallPlan(
+                len(params), _args_schema(function, params), _arg_names(len(params))
             )
-        schema = _args_schema(function, params)
-        if schema is None:
-            return b""
-        return self._host.codec.encode(
-            schema, {f"p{i}": a for i, a in enumerate(args)}
-        )
+            self._plans_by_signature[signature] = plan
+        self._call_plans[(function, provider)] = plan
+        return plan
 
-    def _result_type_of(self, function: str, provider: str) -> Optional[DataType]:
-        from repro.encoding.schema import parse_type
-
-        local = self._provisions.get(function)
-        if local is not None:
-            return local.result
-        record = self._host.directory.record(provider)
-        offer = record.functions.get(function) if record else None
-        if offer is None or not offer["result"]:
-            return None
-        return parse_type(offer["result"])
+    def _result_decoder(
+        self, function: str, provider: str
+    ) -> Optional[Callable[[bytes], Any]]:
+        """The decoder of ``function``'s result as ``provider`` offers it
+        (None when it returns nothing or the offer is unknown)."""
+        key = (function, provider)
+        if self._host.directory.revision == self._plans_rev and key in self._result_decoders:
+            return self._result_decoders[key]
+        offer = self._offer(function, provider)
+        decode = None
+        if offer is not None and offer["result"]:
+            decode = self._host.codec.decoder(parse_type(offer["result"]))
+        self._result_decoders[key] = decode
+        return decode
 
 
 __all__ = ["InvocationManager", "CallHandle", "FunctionProvision"]

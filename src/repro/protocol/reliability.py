@@ -15,8 +15,10 @@ simulator; they emit frames through a callback and expose ``poll``/
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.protocol.frames import Frame, FrameFlags, MessageKind
 from repro.util.clock import Clock
@@ -24,10 +26,30 @@ from repro.util.errors import ProtocolError
 
 _ACK_COUNT = struct.Struct("<H")
 _ACK_SEQ = struct.Struct("<I")
+#: The whole payload of a single-seq ACK (count 1, then the seq): every
+#: immediate ACK on the default plane, packed and unpacked in one call.
+#: Derived from the two formats above, so it follows any change to them.
+_ACK_ONE = struct.Struct(_ACK_COUNT.format + _ACK_SEQ.format.lstrip("<"))
+_ACK_ONE_SIZE = _ACK_ONE.size
+
+# Tested on every reliable frame: module constants, not enum attribute
+# lookups.
+_ACK = MessageKind.ACK
+_RELIABLE = int(FrameFlags.RELIABLE)
+_RETRANSMIT = int(FrameFlags.RETRANSMIT)
+_deadline = attrgetter("deadline")
 
 
 def encode_ack(seqs: List[int]) -> bytes:
     """Selective-ack payload: uint16 count + uint32 seq each."""
+    if len(seqs) == 1:
+        return _ACK_ONE.pack(1, seqs[0])
+    return _encode_ack_seqs(seqs)
+
+
+def _encode_ack_seqs(seqs: List[int]) -> bytes:
+    """The general encoder, any count (:func:`encode_ack` takes a one-call
+    path for a single seq)."""
     if len(seqs) > 0xFFFF:
         raise ProtocolError("too many seqs in one ack")
     out = [_ACK_COUNT.pack(len(seqs))]
@@ -36,6 +58,16 @@ def encode_ack(seqs: List[int]) -> bytes:
 
 
 def decode_ack(payload: bytes) -> List[int]:
+    if len(payload) == _ACK_ONE_SIZE:
+        count, seq = _ACK_ONE.unpack(payload)
+        if count == 1:
+            return [seq]
+    return _decode_ack_seqs(payload)
+
+
+def _decode_ack_seqs(payload: bytes) -> List[int]:
+    """The general decoder, any count (:func:`decode_ack` takes a one-call
+    path for a single seq)."""
     if len(payload) < _ACK_COUNT.size:
         raise ProtocolError("ack payload too short")
     (count,) = _ACK_COUNT.unpack_from(payload)
@@ -228,7 +260,8 @@ class ReliableSender:
         self._nack_penalty = 0.0
         self._next_seq = 1
         self._in_flight: Dict[int, _InFlight] = {}
-        self._backlog: List[Frame] = []
+        #: FIFO of sequenced frames waiting for window space.
+        self._backlog: Deque[Frame] = deque()
         # Statistics surfaced by experiment E5.
         self.sent_frames = 0
         self.retransmitted_frames = 0
@@ -266,27 +299,22 @@ class ReliableSender:
                     )
                 )
             return 0
-        frame = Frame(
-            kind=kind,
-            source=self._source,
-            payload=payload,
-            channel=self._channel,
-            seq=self._next_seq,
-            flags=int(FrameFlags.RELIABLE),
-        )
-        self._next_seq += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        frame = Frame(kind, self._source, payload, self._channel, seq, _RELIABLE)
         if len(self._in_flight) < self._policy.window:
             self._transmit(frame)
         else:
             self._backlog.append(frame)
-        return frame.seq
+        return seq
 
     def on_ack_frame(self, frame: Frame) -> None:
         """Feed an ACK frame received for this stream."""
-        if frame.kind != MessageKind.ACK:
+        if frame.kind != _ACK:
             raise ProtocolError(f"not an ack frame: {frame!r}")
         hardening = self._hardening
-        if hardening is not None and hardening.enabled:
+        hardened = hardening is not None and hardening.enabled
+        if hardened:
             if self._ack_bucket is None:
                 self._ack_bucket = _Bucket(
                     hardening.ack_rate, hardening.ack_burst, self._clock.now()
@@ -295,10 +323,23 @@ class ReliableSender:
                 self.suppressed_acks += 1
                 self._abuse("ack-flood")
                 return
-        self.on_acked(decode_ack(frame.payload))
+        payload = frame.payload
+        if not hardened and len(payload) == _ACK_ONE_SIZE:
+            # The immediate ACK of the default plane: one seq, unpacked in
+            # one call and retired inline.
+            count, seq = _ACK_ONE.unpack(payload)
+            if count == 1:
+                self._in_flight.pop(seq, None)
+                if self._backlog:
+                    self._drain_backlog()
+                return
+        self._on_acked(decode_ack(payload), hardened)
 
     def on_acked(self, seqs: List[int]) -> None:
-        hardened = self._hardening is not None and self._hardening.enabled
+        hardening = self._hardening
+        self._on_acked(seqs, hardening is not None and hardening.enabled)
+
+    def _on_acked(self, seqs: List[int], hardened: bool) -> None:
         for seq in seqs:
             if hardened and seq >= self._next_seq:
                 # An ACK for a sequence number this stream never issued is
@@ -354,7 +395,7 @@ class ReliableSender:
                 continue
             state.rto = min(state.rto * self._policy.backoff, self._policy.max_rto)
             state.deadline = now + state.rto
-            state.frame.flags |= int(FrameFlags.RETRANSMIT)
+            state.frame.flags |= _RETRANSMIT
             self.nack_retransmits += 1
             self.retransmitted_frames += 1
             self.retransmitted_bytes += len(state.frame.payload)
@@ -379,7 +420,7 @@ class ReliableSender:
             state.retries += 1
             state.rto = min(state.rto * self._policy.backoff, self._policy.max_rto)
             state.deadline = now + state.rto
-            state.frame.flags |= int(FrameFlags.RETRANSMIT)
+            state.frame.flags |= _RETRANSMIT
             self.retransmitted_frames += 1
             self.retransmitted_bytes += len(state.frame.payload)
             self._emit(state.frame)
@@ -387,9 +428,10 @@ class ReliableSender:
 
     def next_wakeup(self) -> Optional[float]:
         """Earliest time ``poll`` has work to do, or None when idle."""
-        if not self._in_flight:
+        in_flight = self._in_flight
+        if not in_flight:
             return None
-        return min(st.deadline for st in self._in_flight.values())
+        return min(map(_deadline, in_flight.values()))
 
     @property
     def unacked(self) -> int:
@@ -401,16 +443,16 @@ class ReliableSender:
 
     # -- internals --------------------------------------------------------------
     def _transmit(self, frame: Frame) -> None:
-        now = self._clock.now()
-        self._in_flight[frame.seq] = _InFlight(
-            frame=frame, deadline=now + self._policy.initial_rto, rto=self._policy.initial_rto
-        )
+        rto = self._policy.initial_rto
+        self._in_flight[frame.seq] = _InFlight(frame, self._clock.now() + rto, rto)
         self.sent_frames += 1
         self._emit(frame)
 
     def _drain_backlog(self) -> None:
-        while self._backlog and len(self._in_flight) < self._policy.window:
-            self._transmit(self._backlog.pop(0))
+        backlog = self._backlog
+        window = self._policy.window
+        while backlog and len(self._in_flight) < window:
+            self._transmit(backlog.popleft())
 
 
 class ReliableReceiver:
@@ -477,13 +519,6 @@ class ReliableReceiver:
         self.horizon_drops = 0
         self.suppressed_dup_acks = 0
 
-    def _hardened(self) -> bool:
-        return (
-            self._hardening is not None
-            and self._hardening.enabled
-            and self._clock is not None
-        )
-
     def on_frame(self, frame: Frame) -> None:
         if frame.source != self._source or frame.channel != self._channel:
             raise ProtocolError(
@@ -491,8 +526,9 @@ class ReliableReceiver:
                 f"({self._source}, {self._channel})"
             )
         seq = frame.seq
-        if self._hardened():
-            window = self._hardening.replay_window
+        hardening = self._hardening
+        if hardening is not None and hardening.enabled and self._clock is not None:
+            window = hardening.replay_window
             if seq < self._expected - window:
                 # Ancient replay: do NOT re-ack — the re-ACK is exactly the
                 # amplification a replay flood is after.
@@ -510,8 +546,8 @@ class ReliableReceiver:
                 # budget so a duplicate firehose cannot mint ACK traffic.
                 if self._dup_ack_bucket is None:
                     self._dup_ack_bucket = _Bucket(
-                        self._hardening.dup_ack_rate,
-                        self._hardening.dup_ack_burst,
+                        hardening.dup_ack_rate,
+                        hardening.dup_ack_burst,
                         self._clock.now(),
                     )
                 if self._dup_ack_bucket.try_take(self._clock.now()):
@@ -522,7 +558,14 @@ class ReliableReceiver:
                 self.duplicate_frames += 1
                 return
         # Always ack, even duplicates.
-        self._ack([seq])
+        if self._ack_delay <= 0:
+            # The immediate ACK, built here: one seq packed in one call.
+            self.ack_frames_sent += 1
+            self._emit_ack(
+                Frame(_ACK, self._ack_source, _ACK_ONE.pack(1, seq), self._channel)
+            )
+        else:
+            self._ack([seq])
         if seq < self._expected or seq in self._seen:
             self.duplicate_frames += 1
             return
@@ -542,7 +585,10 @@ class ReliableReceiver:
                     self._expected += 1
             return
         if seq == self._expected:
-            self._deliver_in_order(frame)
+            self.delivered_frames += 1
+            self._deliver(frame)
+            self._seen.discard(seq)
+            self._expected = seq + 1
             # Flush buffered successors.
             while self._expected in self._pending:
                 self._deliver_in_order(self._pending.pop(self._expected))
@@ -571,12 +617,7 @@ class ReliableReceiver:
 
     def _make_ack(self, seqs: List[int]) -> Frame:
         self.ack_frames_sent += 1
-        return Frame(
-            kind=MessageKind.ACK,
-            source=self._ack_source,
-            payload=encode_ack(seqs),
-            channel=self._channel,
-        )
+        return Frame(_ACK, self._ack_source, encode_ack(seqs), self._channel)
 
     def _cancel_ack_timer(self) -> None:
         if self._ack_timer is not None:

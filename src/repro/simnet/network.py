@@ -57,6 +57,10 @@ class SimNic:
         self._endpoint: Optional[Endpoint] = None
         self._port: Optional[int] = None
         self.up = True
+        #: MTU of this node's own link (``link_for(node, node).mtu``), filled
+        #: in on first read and reset by the network whenever a link model
+        #: changes; see :meth:`SimNetwork.mtu_of`.
+        self.mtu: Optional[int] = None
 
     def set_receiver(self, receiver: Optional[Receiver]) -> None:
         """Install the callback invoked with every delivered packet (None:
@@ -164,14 +168,31 @@ class SimNetwork:
         self._links[(src, dst)] = model
         if symmetric:
             self._links[(dst, src)] = model
-        self._pair_cache.clear()
+        self._links_changed()
 
     def set_default_link(self, model: LinkModel) -> None:
         self._default_link = model
+        self._links_changed()
+
+    def _links_changed(self) -> None:
+        """Drop everything resolved from the link models: the per-pair
+        cache and each NIC's MTU."""
         self._pair_cache.clear()
+        for nic in self._nics.values():
+            nic.mtu = None
 
     def link_for(self, src: str, dst: str) -> LinkModel:
         return self._links.get((src, dst), self._default_link)
+
+    def mtu_of(self, node: str) -> int:
+        """The MTU the protocol layer fragments ``node``'s frames to: that
+        of the node's own link. Cached on the NIC, so a transport reading it
+        per frame pays no link lookup."""
+        nic = self.attach(node)
+        mtu = nic.mtu
+        if mtu is None:
+            mtu = nic.mtu = self.link_for(node, node).mtu
+        return mtu
 
     def set_node_up(self, node: str, up: bool) -> None:
         """Fault injection: a down node neither sends nor receives."""
@@ -274,16 +295,47 @@ class SimNetwork:
             )
         now = packet.sent_at = self._sim.now()
 
-        # Multicast shares the default medium; unicast serializes at the
-        # specific link's rate (a radio hop to the ground is slower than
-        # the on-board Ethernet).
-        model = self._default_link
         destination = packet.destination
-        if isinstance(destination, Address):
-            if self._optimized:
-                model = self._pair(src, destination.node)[0]
+        if self._optimized and isinstance(destination, Address):
+            # Unicast, straight-line: the pair-cache hit, record_emission,
+            # _occupy_uplink and _schedule_deliveries for one receiver,
+            # inline, with the same arithmetic and the same draws in the
+            # same order. Unicast serializes at the specific link's rate (a
+            # radio hop to the ground is slower than the on-board Ethernet).
+            dst = destination.node
+            pair = self._pair_cache.get((src, dst)) or self._pair(src, dst)
+            stats = self.stats
+            emissions = stats.emissions
+            emissions.packets += 1
+            emissions.bytes += size
+            per_node = stats.emissions_by_node[src]
+            per_node.packets += 1
+            per_node.bytes += size
+            uplink = self._uplink_free_at
+            free_at = max(uplink.get(src, 0.0), now)
+            bandwidth = pair[0].bandwidth_bps
+            tx_done = free_at + (0.0 if bandwidth == 0 else (size * 8.0) / bandwidth)
+            uplink[src] = tx_done
+            if dst not in self._nics:
+                # Unknown destination: silently dropped, like a LAN.
+                stats.drops_down.add(size)
+                return
+            if src == dst:
+                # Local loopback: no propagation delay or loss.
+                arrival = tx_done
             else:
-                model = self.link_for(src, destination.node)
+                delay = pair[2]()
+                if delay is None:
+                    stats.drops_loss.add(size)
+                    return
+                arrival = tx_done + delay
+            self._sim.schedule_fire(
+                arrival, partial(self._deliver_group, [dst], packet, arrival)
+            )
+            return
+
+        # Multicast shares the default medium.
+        model = self._default_link
         if isinstance(destination, GroupName):
             if self._optimized:
                 receivers, src_member = self._receivers_for(src, destination)
@@ -320,14 +372,11 @@ class SimNetwork:
                     tx_done = self._occupy_uplink(src, model, size, now)
                     self._schedule_delivery(src, dst, packet, tx_done)
         else:
+            # Unicast on the reference path.
+            model = self.link_for(src, destination.node)
             self.stats.record_emission(src, size)
             tx_done = self._occupy_uplink(src, model, size, now)
-            if self._optimized:
-                self._schedule_deliveries(
-                    src, (destination.node,), packet, tx_done
-                )
-            else:
-                self._schedule_delivery(src, destination.node, packet, tx_done)
+            self._schedule_delivery(src, destination.node, packet, tx_done)
 
     def _occupy_uplink(
         self, src: str, model: LinkModel, size: int, now: float

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.simnet.addressing import Address, GroupName
@@ -20,11 +21,14 @@ class SimTransport:
     related with the management of UDP/TCP ports and multicast groups" (§3)
     from services. The receiver passed to :meth:`open` is bound to the NIC
     itself, so an inbound datagram reaches it with no hop in between.
+    Outbound, :meth:`send_bytes` hands each packet to the network's emission
+    path directly, not through :meth:`SimNic.send`.
     """
 
     def __init__(self, network: SimNetwork, node: str):
         self._network = network
         self._nic = network.attach(node)
+        self._emit = partial(network._emit, self._nic)
         self._node = node
         #: The bound source address, built once at open(): every outbound
         #: packet carries it.
@@ -37,7 +41,8 @@ class SimTransport:
 
     @property
     def mtu(self) -> int:
-        return self._network.link_for(self._node, self._node).mtu
+        mtu = self._nic.mtu
+        return mtu if mtu is not None else self._network.mtu_of(self._node)
 
     def open(self, port: int, receiver: RawReceiver) -> Address:
         if self._open:
@@ -50,7 +55,7 @@ class SimTransport:
     def send_bytes(self, destination: Destination, payload: bytes) -> None:
         if not self._open:
             raise TransportError("transport not open")
-        self._nic.send(Packet(self._address, destination, payload))
+        self._emit(Packet(self._address, destination, payload))
 
     def join(self, group: GroupName) -> None:
         self._nic.join(group)
